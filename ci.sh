@@ -7,9 +7,13 @@ cd "$(dirname "$0")"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+# The repository benchmark is a package of its own (benchmark/Cargo.toml),
+# outside the workspace: every gate names it explicitly.
+cargo fmt --manifest-path benchmark/Cargo.toml -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 
 echo "==> pipeline dispatch lint (org policy flows through StepCtx, never raw config reads)"
 if grep -rn 'unified_l1\|config\.' crates/core/src/pipeline/ | grep -v ':[[:space:]]*//'; then
@@ -43,6 +47,20 @@ cargo test --release -q --offline -p eeat-core --test delta_settle_equivalence
 # checked-in results/ stays pristine.
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
+
+echo "==> repository benchmark: unit tests + smoke run (every cell must pass its checks)"
+# It links the simulator crates through path dependencies, so an API change
+# in crates/* that breaks it fails here. The smoke run exits non-zero when
+# any cell fails; its artifacts and span sidecars must pass the checkers.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+mkdir -p "$SCRATCH/benchmark"
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --smoke --out-dir "$SCRATCH/benchmark"
+cargo run --release --offline -p eeat-bench --bin report_diff -- --validate \
+    "$SCRATCH"/benchmark/matrix_native.json "$SCRATCH"/benchmark/virt_walk.json \
+    "$SCRATCH"/benchmark/cores_coherence.json "$SCRATCH"/benchmark/replay_trace.json
+cargo run --release --offline -p eeat-bench --bin report_diff -- \
+    --check-trace "$SCRATCH"/benchmark/*.trace.json
 
 echo "==> differential fuzz smoke (8 seeds x 10k steps per target)"
 EEAT_FUZZ_SEEDS=8 EEAT_RESULTS="$SCRATCH" cargo run --release --offline \

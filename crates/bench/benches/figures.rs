@@ -5,8 +5,8 @@
 //! they double as end-to-end smoke tests that every experiment path stays
 //! healthy under `cargo bench`.
 
-use eeat_bench::timing::Harness;
-use eeat_core::{fig3_walk_locality, fig4_fixed_sizes, lite_sensitivity, Config, Experiment};
+use eeat_bench::{fig4_fixed_sizes, timing::Harness};
+use eeat_core::{fig3_walk_locality, lite_sensitivity, Config, Experiment};
 use eeat_workloads::Workload;
 use std::hint::black_box;
 

@@ -1,8 +1,7 @@
 //! Figure 4: aggregate L1 TLB MPKI over execution time under fixed L1-4KB
 //! TLB sizes — *Base* (4 KiB pages), *64*, *32*, *16* (THP).
 
-use eeat_bench::{Cli, Runner};
-use eeat_core::fig4_fixed_sizes;
+use eeat_bench::{fig4_fixed_sizes, Cli, Runner};
 use eeat_workloads::Workload;
 
 fn main() {

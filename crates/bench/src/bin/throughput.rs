@@ -1,24 +1,11 @@
 //! Single-thread throughput harness for the batched hot loop.
 //!
 //! Measures accesses/sec of the simulator on the Figure 2 mix
-//! (`TLB_INTENSIVE` workloads × {4KB, THP, RMM}) and attributes wall time
-//! to each pipeline stage, writing machine-readable results to
-//! `BENCH_throughput.json`.
-//!
-//! The headline accesses/sec number comes from *unprofiled* runs (the
-//! `()`-monomorphized pipeline, zero instrumentation); the per-stage
-//! breakdown comes from separate profiled runs, whose own throughput is
-//! pessimistic by the cost of two clock reads per stage boundary. Stage
-//! shares are attributed against the *instrumented pass's own wall time*,
-//! measured around the very same run that produced the stage timers —
-//! never against the plain wall, which a slower instrumented pass would
-//! overrun (stage sums above 100% of wall). The profiler self-calibrates
-//! its clock-pair cost and reports it as `profiler_overhead_seconds`; the
-//! share denominator is the instrumented wall *minus* that self-time, so
-//! shares approximate the plain run's composition. Time the stage brackets
-//! don't cover (trace generation, step dispatch, residual clock cost) is
-//! reported as the `unattributed` share. Both walls land in the artifact:
-//! `seconds` (plain, the headline) and `instrumented_seconds`.
+//! (`TLB_INTENSIVE` workloads × {4KB, THP, RMM}), writing machine-readable
+//! results to `BENCH_throughput.json`. The headline number comes from plain
+//! runs (the `()`-monomorphized pipeline, zero instrumentation). Per-layer
+//! attribution of host time is the repository benchmark's traced pass
+//! (`benchmark/`), which times each layer from outside the simulator.
 //!
 //! Usage:
 //!
@@ -27,7 +14,7 @@
 //! EEAT_INSTRUCTIONS=2_000_000 cargo run --release -p eeat-bench --bin throughput
 //! ```
 //!
-//! `--best-of N` (default 5 full / 1 smoke) repeats each unprofiled cell N
+//! `--best-of N` (default 5 full / 1 smoke) repeats each plain cell N
 //! times and keeps the minimum wall time — the standard estimator on hosts
 //! with background load, since noise only ever adds time.
 //!
@@ -49,13 +36,13 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use eeat_bench::Runner;
-use eeat_core::{Config, Simulator, Stage, DEFAULT_BLOCK};
+use eeat_core::{Config, Simulator, DEFAULT_BLOCK};
 use eeat_obs::{EpochSeries, LatencyHistogram, LatencyObserver};
 use eeat_workloads::Workload;
 
 /// Pre-batching baseline, measured on this machine at the parent commit of
 /// the hot-loop refactor (per-access loop, AoS TLB storage,
-/// `Option<TimelineObserver>` branch in the sink, pre-refactor release
+/// optional timeline-observer branch in the sink, pre-refactor release
 /// profile): same workload mix, 5 M instructions per cell, single thread.
 ///
 /// Methodology: the build host is a noisy single-CPU box, so baseline and
@@ -81,16 +68,8 @@ const HIST_MIN_RATE_RATIO: f64 = 0.97;
 struct ConfigResult {
     name: &'static str,
     accesses: u64,
-    /// Plain (unprofiled) wall time: best-of-N, the headline denominator.
+    /// Plain wall time: best-of-N, the headline denominator.
     seconds: f64,
-    /// Wall time of the instrumented pass, bracketing the same runs that
-    /// filled `stage_seconds` — the only valid denominator for stage
-    /// shares.
-    instrumented_seconds: f64,
-    /// Profiler self-time subtracted from the stage totals (calibrated
-    /// clock-pair cost x brackets); removed from the share denominator too.
-    profiler_overhead_seconds: f64,
-    stage_seconds: [f64; 5],
     /// Merged translation-latency distribution across the workload mix,
     /// from the histogram pass (filled in `main`, after `measure`).
     latency: LatencyHistogram,
@@ -99,29 +78,11 @@ struct ConfigResult {
     hist_rate_ratio: f64,
 }
 
-impl ConfigResult {
-    /// Per-stage share of the instrumented wall net of profiler self-time,
-    /// with the final element being the unattributed remainder (work
-    /// outside the stage brackets).
-    fn shares(&self) -> [f64; 6] {
-        let wall =
-            (self.instrumented_seconds - self.profiler_overhead_seconds).max(f64::MIN_POSITIVE);
-        let mut shares = [0.0; 6];
-        let mut attributed = 0.0;
-        for (i, s) in self.stage_seconds.iter().enumerate() {
-            shares[i] = s / wall;
-            attributed += s;
-        }
-        shares[5] = ((wall - attributed) / wall).max(0.0);
-        shares
-    }
-}
-
 fn measure(config: &Config, instructions: u64, best_of: u32) -> ConfigResult {
-    // Headline throughput: unprofiled batched runs. Per workload the wall
-    // time is the *minimum* over `best_of` repeats — on a host with
-    // background load, the fastest repeat is the one least disturbed by
-    // noise, and every reported rate is still an actually-achieved run.
+    // Headline throughput: plain batched runs. Per workload the wall time
+    // is the *minimum* over `best_of` repeats — on a host with background
+    // load, the fastest repeat is the one least disturbed by noise, and
+    // every reported rate is still an actually-achieved run.
     let mut accesses = 0u64;
     let mut seconds = 0.0f64;
     for &workload in &Workload::TLB_INTENSIVE {
@@ -137,31 +98,10 @@ fn measure(config: &Config, instructions: u64, best_of: u32) -> ConfigResult {
         seconds += best;
         accesses += cell_accesses;
     }
-    // Per-stage attribution: separate profiled runs (fresh simulators, so
-    // the profiled run sees the identical access stream). The instrumented
-    // wall is clocked around the same runs that fill the stage timers, so
-    // stages and their denominator come from one pass and shares are
-    // guaranteed consistent.
-    let mut stage_seconds = [0.0f64; 5];
-    let mut instrumented_seconds = 0.0f64;
-    let mut profiler_overhead_seconds = 0.0f64;
-    for &workload in &Workload::TLB_INTENSIVE {
-        let mut sim = Simulator::from_workload(config.clone(), workload, SEED);
-        let t = Instant::now();
-        let (_, profile) = sim.run_block_profiled(instructions, DEFAULT_BLOCK);
-        instrumented_seconds += t.elapsed().as_secs_f64();
-        profiler_overhead_seconds += profile.overhead_seconds();
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            stage_seconds[i] += profile.seconds(stage);
-        }
-    }
     ConfigResult {
         name: config.name,
         accesses,
         seconds,
-        instrumented_seconds,
-        profiler_overhead_seconds,
-        stage_seconds,
         latency: LatencyHistogram::new(),
         hist_rate_ratio: 0.0,
     }
@@ -216,7 +156,7 @@ fn measure_hist(config: &Config, instructions: u64, best_of: u32) -> (f64, f64, 
     (accesses as f64 / wall[0], accesses as f64 / wall[1], merged)
 }
 
-/// Observer-overhead check: the same unprofiled measurement with a full
+/// Observer-overhead check: the same plain measurement with a full
 /// [`EpochSeries`] telemetry observer (energy embedded) attached. The ratio
 /// against the plain run is the acceptance criterion that telemetry stays
 /// within noise.
@@ -272,55 +212,22 @@ fn render_json(results: &[ConfigResult], instructions: u64, smoke: bool, best_of
         writeln!(out, "      \"name\": \"{}\",", r.name).unwrap();
         writeln!(out, "      \"accesses\": {},", r.accesses).unwrap();
         writeln!(out, "      \"seconds\": {:.6},", r.seconds).unwrap();
-        writeln!(
-            out,
-            "      \"instrumented_seconds\": {:.6},",
-            r.instrumented_seconds
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "      \"profiler_overhead_seconds\": {:.6},",
-            r.profiler_overhead_seconds
-        )
-        .unwrap();
         writeln!(out, "      \"accesses_per_sec\": {acc_per_sec:.0},").unwrap();
         writeln!(out, "      \"hist_rate_ratio\": {:.4},", r.hist_rate_ratio).unwrap();
-        // Same shape as an artifact `distributions` entry (mean and the
-        // p50/p90/p99/p999 tail columns), merged across the workload mix.
-        writeln!(
-            out,
-            "      \"latency_cycles\": {},",
-            r.latency.summary_json(false).to_compact()
-        )
-        .unwrap();
         if !smoke {
             if let Some(before) = baseline_for(r.name) {
                 writeln!(out, "      \"baseline_accesses_per_sec\": {before:.0},").unwrap();
                 writeln!(out, "      \"speedup\": {:.3},", acc_per_sec / before).unwrap();
             }
         }
-        writeln!(out, "      \"stage_seconds\": {{").unwrap();
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            let comma = if i + 1 < Stage::ALL.len() { "," } else { "" };
-            writeln!(
-                out,
-                "        \"{}\": {:.6}{comma}",
-                stage.name(),
-                r.stage_seconds[i]
-            )
-            .unwrap();
-        }
-        writeln!(out, "      }},").unwrap();
-        // Shares against the instrumented wall (same pass): always sum to
-        // at most 1, with the remainder reported as `unattributed`.
-        let shares = r.shares();
-        writeln!(out, "      \"stage_share\": {{").unwrap();
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            writeln!(out, "        \"{}\": {:.4},", stage.name(), shares[i]).unwrap();
-        }
-        writeln!(out, "        \"unattributed\": {:.4}", shares[5]).unwrap();
-        writeln!(out, "      }}").unwrap();
+        // Same shape as an artifact `distributions` entry (mean and the
+        // p50/p90/p99/p999 tail columns), merged across the workload mix.
+        writeln!(
+            out,
+            "      \"latency_cycles\": {}",
+            r.latency.summary_json(false).to_compact()
+        )
+        .unwrap();
         let comma = if ci + 1 < results.len() { "," } else { "" };
         writeln!(out, "    }}{comma}").unwrap();
     }
@@ -366,32 +273,11 @@ fn main() {
                 .map(|b| format!("  {:>5.2}x vs baseline", acc_per_sec / b))
                 .unwrap_or_default()
         };
-        let shares = r.shares();
-        let mut share_strs: Vec<String> = Stage::ALL
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| format!("{} {:.0}%", s.name(), 100.0 * shares[i]))
-            .collect();
-        share_strs.push(format!("other {:.0}%", 100.0 * shares[5]));
         runner.line(&format!(
-            "{:4} {:>12} accesses  {:>8.3} s  {:>12.0} acc/s{}  [{} of {:.3} s attributable]",
-            r.name,
-            r.accesses,
-            r.seconds,
-            acc_per_sec,
-            speedup,
-            share_strs.join(", "),
-            (r.instrumented_seconds - r.profiler_overhead_seconds).max(0.0),
+            "{:4} {:>12} accesses  {:>8.3} s  {:>12.0} acc/s{}",
+            r.name, r.accesses, r.seconds, acc_per_sec, speedup,
         ));
         runner.metric(format!("config/{}/accesses_per_sec", r.name), acc_per_sec);
-        runner.metric(
-            format!("config/{}/instrumented_seconds", r.name),
-            r.instrumented_seconds,
-        );
-        runner.metric(
-            format!("config/{}/profiler_overhead_seconds", r.name),
-            r.profiler_overhead_seconds,
-        );
         if !smoke {
             if let Some(before) = baseline_for(r.name) {
                 runner.metric(
@@ -400,16 +286,6 @@ fn main() {
                 );
             }
         }
-        for (i, stage) in Stage::ALL.into_iter().enumerate() {
-            runner.metric(
-                format!("config/{}/stage_share/{}", r.name, stage.name()),
-                shares[i],
-            );
-        }
-        runner.metric(
-            format!("config/{}/stage_share/unattributed", r.name),
-            shares[5],
-        );
 
         let (obs_accesses, obs_seconds) = measure_observed(config, instructions, best_of);
         let obs_per_sec = obs_accesses as f64 / obs_seconds;

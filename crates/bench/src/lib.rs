@@ -15,7 +15,9 @@ pub mod cli;
 pub mod runner;
 pub mod timing;
 
-use eeat_core::Experiment;
+use eeat_core::{par, Config, Experiment, Simulator};
+use eeat_obs::{EpochRow, EpochSeries};
+use eeat_workloads::Workload;
 
 pub use cli::{baseline, Cli};
 pub use runner::{series_bucket, Runner};
@@ -43,6 +45,42 @@ pub fn experiment() -> Experiment {
         .with_seed(seed())
 }
 
+/// Figure 4: the L1 TLB MPKI timeline under the four fixed configurations —
+/// *Base* (4 KiB pages only), *64*, *32*, and *16* (THP with a 64/32/16-entry
+/// L1-4KB TLB).
+///
+/// Returns `(config name, epoch rows)` pairs sampled every
+/// `bucket_instructions`; a row's `l1_mpki` is the figure's y-value.
+pub fn fig4_fixed_sizes(
+    workload: Workload,
+    instructions: u64,
+    bucket_instructions: u64,
+    seed: u64,
+) -> Vec<(&'static str, Vec<EpochRow>)> {
+    let configs = [
+        ("Base", Config::four_k()),
+        ("64", Config::thp_with_l1_4k(64, 4)),
+        ("32", Config::thp_with_l1_4k(32, 2)),
+        ("16", Config::thp_with_l1_4k(16, 1)),
+    ];
+    // The four series are independent simulations: one worker each.
+    par::parallel_map(
+        &configs,
+        par::thread_count(configs.len(), None),
+        |(label, config)| {
+            let mut sim = Simulator::from_workload(config.clone(), workload, seed);
+            let ways = sim
+                .hierarchy()
+                .l1_4k()
+                .map(|t| t.active_ways())
+                .unwrap_or(0);
+            let mut series = EpochSeries::new(0, bucket_instructions, ways, None);
+            sim.run_with_observer(instructions, &mut series);
+            (*label, series.into_rows())
+        },
+    )
+}
+
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}", x * 100.0)
@@ -66,6 +104,17 @@ mod tests {
         }
         if std::env::var("EEAT_SEED").is_err() {
             assert_eq!(seed(), 42);
+        }
+    }
+
+    #[test]
+    fn fig4_produces_four_series() {
+        let series = fig4_fixed_sizes(Workload::Swaptions, 200_000, 50_000, 1);
+        assert_eq!(series.len(), 4);
+        let labels: Vec<&str> = series.iter().map(|(l, _)| *l).collect();
+        assert_eq!(labels, ["Base", "64", "32", "16"]);
+        for (label, rows) in &series {
+            assert!(!rows.is_empty(), "{label} has samples");
         }
     }
 

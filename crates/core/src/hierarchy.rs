@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use eeat_tlb::{CoalescedTlb, FullyAssocTlb, RangeTlb, SetAssocTlb, TlbStats};
+use eeat_tlb::{CoalescedTlb, FullyAssocTlb, RangeTlb, SetAssocTlb};
 use eeat_types::{PageSize, VirtAddr};
 
 use crate::config::Config;
@@ -335,30 +335,6 @@ impl TlbHierarchy {
         if let Some(t) = &mut self.l2_range {
             t.flush();
         }
-    }
-
-    /// Aggregate stats over every L1 structure.
-    pub fn l1_stats(&self) -> TlbStats {
-        let mut total = TlbStats::new();
-        if let Some(t) = &self.l1_4k {
-            total += *t.stats();
-        }
-        if let Some(t) = &self.l1_2m {
-            total += *t.stats();
-        }
-        if let Some(t) = &self.l1_1g {
-            total += *t.stats();
-        }
-        if let Some(t) = &self.l1_fa {
-            total += *t.stats();
-        }
-        if let Some(t) = &self.l1_colt {
-            total += *t.stats();
-        }
-        if let Some(t) = &self.l1_range {
-            total += *t.stats();
-        }
-        total
     }
 }
 

@@ -41,7 +41,6 @@ mod org;
 pub mod par;
 mod pipeline;
 mod predictor;
-mod profile;
 mod report;
 mod setup;
 mod simulator;
@@ -58,8 +57,7 @@ pub use org::{
     TranslationOrg,
 };
 pub use predictor::SizePredictor;
-pub use profile::{Stage, StageProfile};
 pub use report::{format_row, format_table, provenance_header, Table};
 pub use simulator::{RunResult, Simulator, DEFAULT_BLOCK};
-pub use stats::{SimStats, Timeline, TimelinePoint};
-pub use sweep::{fig3_walk_locality, fig4_fixed_sizes, lite_sensitivity, SensitivityPoint};
+pub use stats::SimStats;
+pub use sweep::{fig3_walk_locality, lite_sensitivity, SensitivityPoint};

@@ -477,7 +477,7 @@ impl MultiCoreSim {
                     self.demote_with(core, self.demotions_per_quantum, &mut *tap);
                 }
                 let CoreSlot { sim, ipi, .. } = &mut self.cores[core];
-                sim.run_inner(slice, DEFAULT_BLOCK, &mut (&mut *ipi, tap), &mut ());
+                sim.run_inner(slice, DEFAULT_BLOCK, &mut (&mut *ipi, tap));
             }
             self.quanta += 1;
             remaining -= slice;

@@ -20,9 +20,10 @@
 //! Every stage is generic over one *extra* [`Observer`] `E` beyond the
 //! always-on sinks. Ordinary runs instantiate `E = ()` — a no-op whose
 //! `on_event` monomorphizes away entirely — while
-//! [`Simulator::run_with_timeline`](crate::Simulator::run_with_timeline)
-//! instantiates `E = TimelineObserver`. The optional observer therefore
-//! costs timeline-off runs nothing, not even a branch per event.
+//! [`Simulator::run_with_observer`](crate::Simulator::run_with_observer)
+//! instantiates it with the caller's observer (an `eeat-obs` epoch series,
+//! latency histograms, a trace ring). The optional observer therefore
+//! costs observer-free runs nothing, not even a branch per event.
 //!
 //! Per-access invariants (which structures exist, the Lite monitor slots,
 //! whether the config uses ranges) are hoisted into a [`StepCtx`] computed
@@ -39,7 +40,6 @@ use eeat_types::events::{FixedUnit, HitColumn, Observer, ResizableUnit, Translat
 use eeat_types::MemAccess;
 
 use crate::hierarchy::MonitorIndices;
-use crate::profile::{Stage, StageProfiler};
 use crate::simulator::Simulator;
 use crate::stats::StatsObserver;
 
@@ -271,12 +271,11 @@ impl Sinks {
 
 /// Runs one access through every stage.
 #[inline]
-pub(crate) fn step<E: Observer, P: StageProfiler>(
+pub(crate) fn step<E: Observer>(
     sim: &mut Simulator,
     ctx: &StepCtx,
     access: MemAccess,
     extra: &mut E,
-    profiler: &mut P,
 ) -> TranslationOutcome {
     let va = access.vaddr();
     sim.clock += u64::from(access.instructions());
@@ -286,13 +285,9 @@ pub(crate) fn step<E: Observer, P: StageProfiler>(
             instruction_gap: access.instructions(),
         },
     );
-    profiler.enter(Stage::Epoch);
     epoch::context_switch_if_due(sim, extra);
-    profiler.exit(Stage::Epoch);
 
-    profiler.enter(Stage::L1Probe);
     let l1 = l1_probe::probe(sim, ctx, va);
-    profiler.exit(Stage::L1Probe);
     let outcome = match l1 {
         l1_probe::L1Outcome::RangeHit => {
             // The range TLB serves the translation; a redundant page-TLB
@@ -324,36 +319,24 @@ pub(crate) fn step<E: Observer, P: StageProfiler>(
                 lite.record_l1_miss();
             }
             let size = sim.actual_size(va);
-            profiler.enter(Stage::L2Probe);
             let l2 = l2_probe::probe(sim, va, size);
-            profiler.exit(Stage::L2Probe);
             if l2.page.is_some() || l2.range.is_some() {
                 let range = l2.page.is_none();
                 sim.sinks.emit(extra, TranslationEvent::L2Hit { range });
-                profiler.enter(Stage::Refill);
                 refill::after_l2_hit(sim, ctx, &l2, va, size);
-                profiler.exit(Stage::Refill);
                 TranslationOutcome::L2Hit { range }
             } else {
                 // L2 miss: page walk (50 cycles).
                 sim.sinks.emit(extra, TranslationEvent::L2Miss);
-                profiler.enter(Stage::Walk);
                 let translation = walk::translate(sim, va, extra);
-                profiler.exit(Stage::Walk);
-                profiler.enter(Stage::Refill);
                 refill::after_walk(sim, ctx, translation);
-                profiler.exit(Stage::Refill);
-                profiler.enter(Stage::Walk);
                 walk::range_walk_background(sim, ctx, va, extra);
-                profiler.exit(Stage::Walk);
                 TranslationOutcome::Walked
             }
         }
     };
 
-    profiler.enter(Stage::Epoch);
     epoch::interval_check(sim, ctx, extra);
-    profiler.exit(Stage::Epoch);
     sim.sinks.emit(extra, TranslationEvent::StepEnd);
     outcome
 }

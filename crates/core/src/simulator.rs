@@ -11,14 +11,18 @@
 //! ([`TraceGenerator::fill`](eeat_workloads::TraceGenerator::fill) /
 //! trace-replay copy) and the pipeline then consumes it access by access.
 //! Per-run invariants are hoisted into a [`StepCtx`] once, and the
-//! unprofiled/untraced instantiations of the generic pipeline monomorphize
-//! the optional observer and profiler away. Block state survives across
-//! `run` calls: leftover buffered accesses are consumed first, which is
-//! sound because the access stream is a pure function of the source's
-//! state, independent of simulation state.
+//! observer-free instantiation of the generic pipeline monomorphizes the
+//! optional observer away. Block state survives across `run` calls:
+//! leftover buffered accesses are consumed first, which is sound because
+//! the access stream is a pure function of the source's state, independent
+//! of simulation state.
 //!
-//! [`run_per_access`](Simulator::run_per_access) is the unbatched reference
-//! implementation used by the equivalence tests.
+//! There are four run entry points, all over the same pipeline:
+//! [`run`](Simulator::run), [`run_block`](Simulator::run_block) (explicit
+//! block size), [`run_with_observer`](Simulator::run_with_observer) (an
+//! extra [`Observer`] in the generic slot), and
+//! [`run_per_access_with`](Simulator::run_per_access_with), the unbatched
+//! reference implementation used by the equivalence tests.
 
 use eeat_energy::{CycleBreakdown, EnergyBreakdown, EnergyModel, LeakageInputs};
 use eeat_os::AddressSpace;
@@ -31,9 +35,8 @@ use crate::hierarchy::TlbHierarchy;
 use crate::lite::LiteController;
 use crate::pipeline::{self, epoch, Sinks, StepCtx};
 use crate::predictor::SizePredictor;
-use crate::profile::{StageProfile, StageProfiler, WallProfiler};
 use crate::setup::AccessSource;
-use crate::stats::{SimStats, Timeline, TimelineObserver};
+use crate::stats::SimStats;
 
 /// Default number of accesses generated per block by [`Simulator::run`].
 ///
@@ -304,12 +307,11 @@ impl Simulator {
     }
 
     /// The batched run loop shared by every public run flavour.
-    pub(crate) fn run_inner<E: Observer, P: StageProfiler>(
+    pub(crate) fn run_inner<E: Observer>(
         &mut self,
         instructions: u64,
         block: usize,
         extra: &mut E,
-        profiler: &mut P,
     ) {
         let ctx = self.step_ctx();
         let target = self.clock.saturating_add(instructions);
@@ -322,7 +324,7 @@ impl Simulator {
             while self.block_pos < self.block_buf.len() && self.clock < target {
                 let access = self.block_buf[self.block_pos];
                 self.block_pos += 1;
-                pipeline::step(self, &ctx, access, extra, profiler);
+                pipeline::step(self, &ctx, access, extra);
             }
             // Per-block settle of the hot-path delta counters, so external
             // observers (and multi-core quantum boundaries, which run one
@@ -346,22 +348,15 @@ impl Simulator {
     /// Panics when `block` is zero.
     pub fn run_block(&mut self, instructions: u64, block: usize) -> RunResult {
         assert!(block > 0, "block size must be non-zero");
-        self.run_inner(instructions, block, &mut (), &mut ());
+        self.run_inner(instructions, block, &mut ());
         self.result_with(&mut ())
     }
 
     /// The unbatched reference implementation of [`run`](Self::run): pulls
-    /// one access at a time from the source. Kept public so the equivalence
-    /// tests (and any debugging session) can compare it against the batched
-    /// loop; results are bit-identical.
-    pub fn run_per_access(&mut self, instructions: u64) -> RunResult {
-        self.run_per_access_with(instructions, &mut ())
-    }
-
-    /// [`run_per_access`](Self::run_per_access) with an extra [`Observer`]
-    /// riding the pipeline's generic observer slot — the reference side of
-    /// observer-level equivalence tests (e.g. proving a latency histogram
-    /// built from block-settled events matches per-access settling).
+    /// one access at a time and settles the hot-path deltas after each,
+    /// with an extra [`Observer`] in the generic slot (`&mut ()` for none).
+    /// The equivalence tests hold every batched flavour, observers
+    /// included, to its results bit for bit.
     pub fn run_per_access_with<E: Observer>(
         &mut self,
         instructions: u64,
@@ -379,7 +374,7 @@ impl Simulator {
             } else {
                 self.source.next_access()
             };
-            pipeline::step(self, &ctx, access, extra, &mut ());
+            pipeline::step(self, &ctx, access, extra);
             // Flushing after every step makes this the genuine per-access
             // reference for the delta-settle equivalence tests.
             self.sinks.flush_deltas(extra);
@@ -388,11 +383,10 @@ impl Simulator {
     }
 
     /// Like [`run`](Self::run) with an arbitrary extra [`Observer`] riding
-    /// the pipeline's generic observer slot (the same slot
-    /// [`run_with_timeline`](Self::run_with_timeline) uses). The observer
-    /// sees every [`eeat_types::events::TranslationEvent`] of the run plus
-    /// the final settle event; runs without an extra observer pay nothing
-    /// for the capability.
+    /// the pipeline's generic observer slot. The observer sees every
+    /// [`eeat_types::events::TranslationEvent`] of the run plus the final
+    /// settle event; runs without an extra observer pay nothing for the
+    /// capability.
     ///
     /// This is how external telemetry (e.g. `eeat-obs` epoch recorders and
     /// trace rings) attaches without the simulator knowing about it.
@@ -401,41 +395,8 @@ impl Simulator {
         instructions: u64,
         extra: &mut E,
     ) -> RunResult {
-        self.run_inner(instructions, DEFAULT_BLOCK, extra, &mut ());
+        self.run_inner(instructions, DEFAULT_BLOCK, extra);
         self.result_with(extra)
-    }
-
-    /// Like [`run_block`](Self::run_block) while attributing wall-clock
-    /// time to each pipeline stage. The profiling clocks add overhead, so
-    /// use an unprofiled run for headline throughput and this only for the
-    /// relative per-stage breakdown.
-    pub fn run_block_profiled(
-        &mut self,
-        instructions: u64,
-        block: usize,
-    ) -> (RunResult, StageProfile) {
-        assert!(block > 0, "block size must be non-zero");
-        let mut profiler = WallProfiler::new();
-        self.run_inner(instructions, block, &mut (), &mut profiler);
-        (self.result_with(&mut ()), profiler.finish())
-    }
-
-    /// Runs like [`run`](Self::run) while sampling an MPKI timeline every
-    /// `bucket_instructions` (Figure 4).
-    ///
-    /// The timeline observer rides the pipeline's generic observer slot, so
-    /// runs without a timeline pay nothing for the capability.
-    pub fn run_with_timeline(
-        &mut self,
-        instructions: u64,
-        bucket_instructions: u64,
-    ) -> (RunResult, Timeline) {
-        assert!(bucket_instructions > 0, "bucket must be non-zero");
-        let initial_ways = self.hierarchy.l1_4k().map(|t| t.active_ways()).unwrap_or(0);
-        let mut timeline = TimelineObserver::new(self.clock, bucket_instructions, initial_ways);
-        self.run_inner(instructions, DEFAULT_BLOCK, &mut timeline, &mut ());
-        let result = self.result_with(&mut timeline);
-        (result, timeline.into_timeline())
     }
 
     /// A zeroed [`eeat_energy::EnergyObserver`] configured identically to

@@ -168,24 +168,6 @@ impl fmt::Display for SimStats {
     }
 }
 
-/// One sample of the Figure 4 timeline: aggregate L1 MPKI over one bucket
-/// of instructions.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TimelinePoint {
-    /// Instructions executed at the end of the bucket.
-    pub instructions: u64,
-    /// L1 TLB MPKI within the bucket.
-    pub l1_mpki: f64,
-    /// L2 TLB MPKI within the bucket.
-    pub l2_mpki: f64,
-    /// Active ways of the L1-4KB TLB at the bucket end (4 when Lite is off).
-    pub l1_4k_ways: usize,
-}
-
-/// A run's MPKI timeline (Figure 4's x-axis is execution time in
-/// instructions).
-pub type Timeline = Vec<TimelinePoint>;
-
 /// Builds a [`SimStats`] from the translation-event stream.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StatsObserver {
@@ -263,85 +245,6 @@ impl Observer for StatsObserver {
             TranslationEvent::IpiDelivered { invalidations } => {
                 s.ipis_received += 1;
                 s.ipi_invalidations += invalidations;
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Samples a Figure 4 MPKI timeline from the event stream: one point per
-/// `bucket` instructions, finalized at step boundaries like the paper's
-/// per-interval sampling.
-#[derive(Clone, Debug)]
-pub struct TimelineObserver {
-    bucket: u64,
-    bucket_end: u64,
-    instructions: u64,
-    l1_misses: u64,
-    l2_misses: u64,
-    last_instructions: u64,
-    last_l1_misses: u64,
-    last_l2_misses: u64,
-    l1_4k_ways: usize,
-    points: Timeline,
-}
-
-impl TimelineObserver {
-    /// Creates an observer sampling every `bucket` instructions, starting
-    /// from `start_instructions` with the L1-4KB TLB at `l1_4k_ways`
-    /// (0 when the hierarchy has none).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bucket` is zero.
-    pub fn new(start_instructions: u64, bucket: u64, l1_4k_ways: usize) -> Self {
-        assert!(bucket > 0, "bucket must be non-zero");
-        Self {
-            bucket,
-            bucket_end: start_instructions + bucket,
-            instructions: start_instructions,
-            l1_misses: 0,
-            l2_misses: 0,
-            last_instructions: start_instructions,
-            last_l1_misses: 0,
-            last_l2_misses: 0,
-            l1_4k_ways,
-            points: Vec::new(),
-        }
-    }
-
-    /// The finished timeline.
-    pub fn into_timeline(self) -> Timeline {
-        self.points
-    }
-}
-
-impl Observer for TimelineObserver {
-    #[inline]
-    fn on_event(&mut self, event: &TranslationEvent) {
-        match *event {
-            TranslationEvent::Access { instruction_gap } => {
-                self.instructions += u64::from(instruction_gap);
-            }
-            TranslationEvent::L1Miss => self.l1_misses += 1,
-            TranslationEvent::L2Miss => self.l2_misses += 1,
-            TranslationEvent::EpochEnd {
-                l1_4k_ways: Some(ways),
-                ..
-            } => self.l1_4k_ways = ways as usize,
-            TranslationEvent::StepEnd if self.instructions >= self.bucket_end => {
-                let delta_instr = self.instructions - self.last_instructions;
-                let kilo = delta_instr as f64 / 1000.0;
-                self.points.push(TimelinePoint {
-                    instructions: self.instructions,
-                    l1_mpki: (self.l1_misses - self.last_l1_misses) as f64 / kilo,
-                    l2_mpki: (self.l2_misses - self.last_l2_misses) as f64 / kilo,
-                    l1_4k_ways: self.l1_4k_ways,
-                });
-                self.last_instructions = self.instructions;
-                self.last_l1_misses = self.l1_misses;
-                self.last_l2_misses = self.l2_misses;
-                self.bucket_end += self.bucket;
             }
             _ => {}
         }

@@ -1,4 +1,5 @@
-//! Parameter sweeps: Figure 3, Figure 4, and the §6.2 sensitivity study.
+//! Parameter sweeps: Figure 3 and the §6.2 sensitivity study. (Figure 4's
+//! MPKI timeline is an `eeat-obs` epoch series, so it lives in `eeat-bench`.)
 
 use eeat_energy::{EnergyModel, Structure};
 use eeat_workloads::Workload;
@@ -6,7 +7,6 @@ use eeat_workloads::Workload;
 use crate::config::{Config, LiteParams};
 use crate::par;
 use crate::simulator::{RunResult, Simulator};
-use crate::stats::Timeline;
 
 /// Figure 3: dynamic energy of the 4KB configuration as the L1-cache hit
 /// ratio of page-walk references sweeps from 1.0 down to 0.0.
@@ -35,36 +35,6 @@ pub fn fig3_walk_locality(
             (ratio, total / base_total)
         })
         .collect()
-}
-
-/// Figure 4: the L1 TLB MPKI timeline under the four fixed configurations —
-/// *Base* (4 KiB pages only), *64*, *32*, and *16* (THP with a 64/32/16-entry
-/// L1-4KB TLB).
-///
-/// Returns `(config name, timeline)` pairs sampled every
-/// `bucket_instructions`.
-pub fn fig4_fixed_sizes(
-    workload: Workload,
-    instructions: u64,
-    bucket_instructions: u64,
-    seed: u64,
-) -> Vec<(&'static str, Timeline)> {
-    let configs = [
-        ("Base", Config::four_k()),
-        ("64", Config::thp_with_l1_4k(64, 4)),
-        ("32", Config::thp_with_l1_4k(32, 2)),
-        ("16", Config::thp_with_l1_4k(16, 1)),
-    ];
-    // The four series are independent simulations: one worker each.
-    par::parallel_map(
-        &configs,
-        par::thread_count(configs.len(), None),
-        |(label, config)| {
-            let mut sim = Simulator::from_workload(config.clone(), workload, seed);
-            let (_result, timeline) = sim.run_with_timeline(instructions, bucket_instructions);
-            (*label, timeline)
-        },
-    )
 }
 
 /// One point of the §6.2 Lite sensitivity study.
@@ -129,17 +99,6 @@ mod tests {
         // Less L1-cache locality → more energy.
         assert!(points[1].1 >= points[0].1);
         assert!(points[2].1 >= points[1].1);
-    }
-
-    #[test]
-    fn fig4_produces_four_series() {
-        let series = fig4_fixed_sizes(Workload::Swaptions, 200_000, 50_000, 1);
-        assert_eq!(series.len(), 4);
-        let labels: Vec<&str> = series.iter().map(|(l, _)| *l).collect();
-        assert_eq!(labels, ["Base", "64", "32", "16"]);
-        for (label, timeline) in &series {
-            assert!(!timeline.is_empty(), "{label} has samples");
-        }
     }
 
     #[test]

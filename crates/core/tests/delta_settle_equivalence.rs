@@ -93,7 +93,7 @@ fn per_block_deltas_match_per_access_reference_for_every_org() {
         let blocked = batched.run(INSTRUCTIONS);
 
         let mut reference = Simulator::from_spec(config.clone(), &spec, SEED);
-        let per_access = reference.run_per_access(INSTRUCTIONS);
+        let per_access = reference.run_per_access_with(INSTRUCTIONS, &mut ());
 
         assert!(
             blocked.stats.accesses > 1_000,
@@ -160,7 +160,7 @@ fn external_observer_sees_settled_totals() {
         let with_observer = observed.run_with_observer(INSTRUCTIONS, &mut counter);
 
         let mut reference = Simulator::from_spec(config.clone(), &spec, SEED);
-        let per_access = reference.run_per_access(INSTRUCTIONS);
+        let per_access = reference.run_per_access_with(INSTRUCTIONS, &mut ());
 
         assert_bit_identical(&with_observer, &per_access, org.name());
 

@@ -146,18 +146,6 @@ fn tlb_pp_uses_single_l1_structure() {
 }
 
 #[test]
-fn timeline_sampling() {
-    let mut sim = Simulator::from_spec(Config::thp(), &small_spec(), 1);
-    let (r, timeline) = sim.run_with_timeline(500_000, 50_000);
-    assert!(timeline.len() >= 9, "got {} buckets", timeline.len());
-    assert!(timeline.iter().all(|p| p.l1_mpki >= 0.0));
-    assert!(timeline
-        .windows(2)
-        .all(|w| w[0].instructions < w[1].instructions));
-    assert!(r.stats.instructions >= 500_000);
-}
-
-#[test]
 fn deterministic_across_runs() {
     let run = || {
         let mut sim = Simulator::from_spec(Config::tlb_lite(), &small_spec(), 7);

@@ -10,7 +10,7 @@
 //! classifies every access into one of five [`LatencyClass`]es from the
 //! per-access outcome events — which the delta-settle hot path still emits
 //! per access (only probe/fill *accounting* is batched), so the observer is
-//! exact in both `run_block` and `run_per_access` modes.
+//! exact in both `run_block` and `run_per_access_with` modes.
 //!
 //! # Cycle model
 //!
@@ -40,7 +40,7 @@
 //! boundary passes. Variable-cost accesses (walks, stalls) record
 //! individually. Bucketed counts are therefore independent of flush
 //! frequency; `crates/obs/tests/hist_equivalence.rs` proves `run_block`
-//! histograms equal the `run_per_access` reference for every organization.
+//! histograms equal the `run_per_access_with` reference for every organization.
 //!
 //! [`BlockEnd`]: eeat_types::events::TranslationEvent::BlockEnd
 

@@ -1,15 +1,14 @@
-//! Observability for the translation simulator: metrics, telemetry,
-//! manifests, traces, and diffable run artifacts.
+//! Observability for the translation simulator: telemetry, manifests,
+//! traces, and diffable run artifacts.
 //!
 //! Everything here rides the existing [`Observer`](eeat_types::events::Observer)
 //! seam — the pipeline stays oblivious, and the hot path pays only integer
 //! accumulation (the same settle-per-epoch discipline as the energy
 //! observer). The pieces:
 //!
-//! * [`Registry`] — typed counters/gauges/histograms behind integer ids.
 //! * [`EpochSeries`] — per-epoch telemetry rows (MPKI, hit mix, range-TLB
 //!   hit ratio, shootdowns, Lite activity, LRU utility histograms, pJ),
-//!   bit-compatible with the Figure 4 timeline, exported as JSONL/CSV.
+//!   exported as JSONL/CSV; also the Figure 4 MPKI timeline.
 //! * [`RunManifest`] — provenance (config hash, seed, toolchain, commit,
 //!   wall time) stamped into every artifact and text report.
 //! * [`TraceRing`] — an `EEAT_TRACE`-gated sampled event flight recorder.
@@ -57,7 +56,6 @@ mod diff;
 mod heartbeat;
 mod latency;
 mod manifest;
-mod registry;
 mod series;
 mod spans;
 mod trace;
@@ -70,7 +68,6 @@ pub use heartbeat::{
 pub use json::Json;
 pub use latency::{LatencyClass, LatencyHistogram, LatencyModel, LatencyObserver};
 pub use manifest::{config_hash, fnv1a_64, RunManifest, SCHEMA};
-pub use registry::{CounterId, GaugeId, Histogram, HistogramId, Registry};
 pub use series::{per_core_jsonl, EpochRow, EpochSeries};
 pub use spans::{chrome_trace_json, spans_enabled, validate_chrome_trace, SpanTracer};
 pub use trace::{parse_sample_env, parse_trace_env, TraceRecord, TraceRing, DEFAULT_CAPACITY};

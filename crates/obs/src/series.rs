@@ -1,21 +1,21 @@
 //! Per-epoch telemetry: a time-series observer over the translation-event
 //! stream.
 //!
-//! [`EpochSeries`] samples one [`EpochRow`] per instruction bucket, like the
-//! Figure 4 timeline observer but wider: MPKI, per-structure hit counts,
-//! range-TLB hit ratio, walk traffic, shootdowns, multi-core coherence
-//! traffic (ASID retags, shootdown IPIs sent/delivered), Lite activity, the
-//! LRU-distance utility histograms of every monitored structure, and —
-//! when an energy observer is embedded — per-bucket picojoules.
+//! [`EpochSeries`] samples one [`EpochRow`] per instruction bucket: MPKI
+//! (the Figure 4 timeline, which `eeat-bench` draws from these rows),
+//! per-structure hit counts, range-TLB hit ratio, walk traffic,
+//! shootdowns, multi-core coherence traffic (ASID retags, shootdown IPIs
+//! sent/delivered), Lite activity, the LRU-distance utility histograms of
+//! every monitored structure, and — when an energy observer is embedded —
+//! per-bucket picojoules.
 //!
 //! In a multi-core simulation each core carries its own `EpochSeries`
 //! (attached through `MultiCoreSim::run_with`); [`per_core_jsonl`] merges
 //! the per-core series into one stream with a `core` tag on every row.
 //!
-//! The MPKI columns reproduce `eeat_core::TimelineObserver` *bit for bit*
-//! (same bucket-close condition, same delta arithmetic, same division), so
-//! the new telemetry can replace the old timeline without perturbing golden
-//! fixtures.
+//! A bucket closes at the first step end at or past its instruction mark,
+//! which is exactly where a `Simulator::run` to that absolute mark stops;
+//! `tests/series_reference.rs` holds every row to such a chunked run.
 
 use eeat_energy::EnergyObserver;
 use eeat_types::events::{HitColumn, Observer, ResizableUnit, TranslationEvent};
@@ -69,8 +69,7 @@ struct Counters {
 pub struct EpochRow {
     /// Instructions executed at the end of the bucket.
     pub instructions: u64,
-    /// L1 TLB MPKI within the bucket (bit-identical to the Figure 4
-    /// timeline).
+    /// L1 TLB MPKI within the bucket (the Figure 4 timeline's y-axis).
     pub l1_mpki: f64,
     /// L2 TLB MPKI within the bucket.
     pub l2_mpki: f64,
@@ -131,7 +130,8 @@ pub struct EpochRow {
     /// Meaningful counter count per unit (0 = unit not monitored).
     pub lru_len: [u8; UNITS],
     /// Dynamic energy spent in the bucket, picojoules (0 without an
-    /// embedded energy observer).
+    /// embedded energy observer). Probe and fill counts reach observers
+    /// once per block, so up to one block of them lands in the next bucket.
     pub energy_pj: f64,
     /// Energy per access in the bucket, picojoules.
     pub pj_per_access: f64,
@@ -271,7 +271,6 @@ impl EpochSeries {
     }
 
     fn close_bucket(&mut self) {
-        // Bit-identical to TimelineObserver's bucket arithmetic.
         let delta_instr = self.instructions - self.last_instructions;
         let kilo = delta_instr as f64 / 1000.0;
         let l1_mpki = (self.cum.l1_misses - self.last.l1_misses) as f64 / kilo;
@@ -502,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn buckets_close_like_the_timeline() {
+    fn buckets_close_at_the_first_step_past_each_mark() {
         let mut s = EpochSeries::new(0, 1000, 4, None);
         for _ in 0..7 {
             s.on_event(&access(300));

@@ -21,7 +21,7 @@ fn main() {
 
     let mut note = "";
     for step in 1..=15 {
-        let (result, _) = sim.run_with_timeline(2_000_000, 2_000_000);
+        let result = sim.run(2_000_000);
         let ways_4k = sim
             .hierarchy()
             .l1_4k()

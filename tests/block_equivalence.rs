@@ -1,14 +1,17 @@
-//! Batched-loop equivalence: `run_block` ≡ `run_per_access`, bit for bit.
+//! Batched-loop equivalence: `run_block` ≡ `run_per_access_with`, bit for
+//! bit.
 //!
-//! The block-driven hot loop (PR 4) must be a pure throughput optimization:
-//! for every configuration, every block size, and every run-flavour mix,
-//! the `RunResult` — stats counters, per-structure energy as raw IEEE-754
-//! bit patterns, and the cycle split — must equal the unbatched reference
-//! implementation exactly. The profiled and timeline flavours ride the same
-//! generic pipeline and are held to the same standard.
+//! The block-driven hot loop must be a pure throughput optimization: for
+//! every configuration, every block size, and every run-flavour mix, the
+//! `RunResult` — stats counters, per-structure energy as raw IEEE-754 bit
+//! patterns, and the cycle split — must equal the unbatched reference
+//! implementation exactly. `run_with_observer` rides the same generic
+//! pipeline with an extra observer in its slot and is held to the same
+//! standard.
 
 use eeat_core::{Config, RunResult, Simulator, DEFAULT_BLOCK};
 use eeat_energy::Structure;
+use eeat_types::events::{Observer, TranslationEvent};
 use eeat_workloads::Workload;
 
 const INSTRUCTIONS: u64 = 300_000;
@@ -65,7 +68,7 @@ fn assert_identical(label: &str, got: &RunResult, want: &RunResult) {
 #[test]
 fn run_block_matches_per_access_for_all_cases_and_block_sizes() {
     for (name, mut reference) in cases() {
-        let want = reference.run_per_access(INSTRUCTIONS);
+        let want = reference.run_per_access_with(INSTRUCTIONS, &mut ());
         for block in BLOCKS {
             let got = rebuild(name).run_block(INSTRUCTIONS, block);
             assert_identical(&format!("{name} block={block}"), &got, &want);
@@ -73,27 +76,27 @@ fn run_block_matches_per_access_for_all_cases_and_block_sizes() {
     }
 }
 
-#[test]
-fn profiled_run_matches_per_access() {
-    for (name, mut reference) in cases() {
-        let want = reference.run_per_access(INSTRUCTIONS);
-        let (got, profile) = rebuild(name).run_block_profiled(INSTRUCTIONS, DEFAULT_BLOCK);
-        assert_identical(&format!("{name} profiled"), &got, &want);
-        // A run this size spends measurable time in the L1 stage.
-        assert!(profile.seconds(eeat_core::Stage::L1Probe) > 0.0);
-        assert!(profile.total_seconds() >= profile.seconds(eeat_core::Stage::L1Probe));
+/// Counts the steps the pipeline reports to the observer slot.
+struct StepCounter(u64);
+
+impl Observer for StepCounter {
+    fn on_event(&mut self, event: &TranslationEvent) {
+        if let TranslationEvent::StepEnd = event {
+            self.0 += 1;
+        }
     }
 }
 
 #[test]
-fn timeline_run_matches_per_access() {
-    // The timeline observer rides the generic observer slot; it must not
-    // perturb the simulation.
+fn observer_run_matches_per_access() {
+    // An extra observer rides the generic observer slot; it sees every
+    // step and must not perturb the simulation.
     for (name, mut reference) in cases() {
-        let want = reference.run_per_access(INSTRUCTIONS);
-        let (got, timeline) = rebuild(name).run_with_timeline(INSTRUCTIONS, 50_000);
-        assert_identical(&format!("{name} timeline"), &got, &want);
-        assert!(!timeline.is_empty(), "[{name}] timeline sampled");
+        let want = reference.run_per_access_with(INSTRUCTIONS, &mut ());
+        let mut steps = StepCounter(0);
+        let got = rebuild(name).run_with_observer(INSTRUCTIONS, &mut steps);
+        assert_identical(&format!("{name} observer"), &got, &want);
+        assert_eq!(steps.0, got.stats.accesses, "[{name}] one step per access");
     }
 }
 
@@ -103,13 +106,13 @@ fn mixed_flavours_drain_block_leftovers_in_order() {
     // same access stream as either flavour alone: buffered leftovers are
     // drained before the source is consulted again.
     for (name, mut reference) in cases() {
-        let _ = reference.run_per_access(INSTRUCTIONS);
-        let want = reference.run_per_access(INSTRUCTIONS);
+        let _ = reference.run_per_access_with(INSTRUCTIONS, &mut ());
+        let want = reference.run_per_access_with(INSTRUCTIONS, &mut ());
 
         let mut mixed = rebuild(name);
         // An odd block size guarantees leftovers at the handoff.
         let _ = mixed.run_block(INSTRUCTIONS, 777);
-        let got = mixed.run_per_access(INSTRUCTIONS);
+        let got = mixed.run_per_access_with(INSTRUCTIONS, &mut ());
         assert_identical(&format!("{name} mixed"), &got, &want);
     }
 }
@@ -133,7 +136,7 @@ fn equivalence_survives_huge_page_demotion_and_flushes() {
                     if batched {
                         sim.run_block(n, 64)
                     } else {
-                        sim.run_per_access(n)
+                        sim.run_per_access_with(n, &mut ())
                     }
                 };
                 let _ = run(&mut sim, 120_000);

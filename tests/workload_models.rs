@@ -80,9 +80,17 @@ fn phased_workloads_show_mpki_variation_over_time() {
     // Figure 4: astar changes phases (map-heavy search, then heap-heavy
     // backtracking at the 30 M-instruction boundary) with visibly
     // different MPKI at 4 KiB pages.
+    // Sampled per 5 M instructions by running to each absolute mark and
+    // differencing the cumulative stats.
     let mut sim = Simulator::from_workload(Config::four_k(), Workload::Astar, 42);
-    let (_, timeline) = sim.run_with_timeline(40_000_000, 5_000_000);
-    let mpkis: Vec<f64> = timeline.iter().map(|p| p.l1_mpki).collect();
+    let mut prev = *sim.stats();
+    let mut mpkis = Vec::new();
+    for mark in (1..=8).map(|k| k * 5_000_000) {
+        let stats = sim.run(mark - sim.stats().instructions).stats;
+        let kilo = (stats.instructions - prev.instructions) as f64 / 1000.0;
+        mpkis.push((stats.l1_misses - prev.l1_misses) as f64 / kilo);
+        prev = stats;
+    }
     let before = mpkis[..5].iter().sum::<f64>() / 5.0; // phase 0
     let after = mpkis[6..].iter().sum::<f64>() / (mpkis.len() - 6) as f64;
     let ratio = before.max(after) / before.min(after).max(1e-9);
