@@ -15,6 +15,9 @@ echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo clippy --offline --all-targets --manifest-path benchmark/Cargo.toml -- -D warnings
 
+echo "==> cargo doc -D warnings (broken, private or redundant intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> pipeline dispatch lint (org policy flows through StepCtx, never raw config reads)"
 if grep -rn 'unified_l1\|config\.' crates/core/src/pipeline/ | grep -v ':[[:space:]]*//'; then
     echo "pipeline stages must not branch on Config directly; extend ProbePlan/StepCtx instead" >&2

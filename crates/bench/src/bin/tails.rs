@@ -3,7 +3,7 @@
 //!
 //! Where the figure benches report means, this one reports the shape of
 //! the distribution: per (workload, org) cell the runner's always-on
-//! [`LatencyObserver`] buckets every access's translation cycles by
+//! [`LatencyObserver`](eeat_obs::LatencyObserver) buckets every access's translation cycles by
 //! outcome class, and this bin renders the per-class breakdown (hit
 //! shares, walk tails) on top of the runner's merged p50/p99/p999 table.
 //! The artifact's `distributions` section carries the same numbers, which

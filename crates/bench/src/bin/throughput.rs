@@ -19,18 +19,18 @@
 //! with background load, since noise only ever adds time.
 //!
 //! `--smoke` runs a small instruction budget for CI: it validates the
-//! harness end to end but its accesses/sec are not comparable to the
-//! committed baseline, so the speedup fields are omitted.
+//! harness end to end, and CI holds its plain rate to a floor.
 //!
-//! Two observer-overhead passes ride along: one with the full
-//! `EpochSeries` telemetry observer (vs the plain `()` run), and one with
-//! only the always-on `LatencyObserver` (the per-cell latency histograms
-//! every matrix bench records), measured *marginally* against the empty
-//! observer stack the matrix runner always carried — the histograms'
-//! own cost, not the pre-existing event-dispatch cost. That marginal
-//! rate ratio is acceptance-gated at ≥ 0.97 (≤ 3% overhead) in full
-//! runs, and the merged distribution lands as p50/p90/p99/p999 columns
-//! in `BENCH_throughput.json`.
+//! An observer-overhead pass rides along with only the always-on
+//! `LatencyObserver` (the per-cell latency histograms every matrix bench
+//! records), measured *marginally* against the empty observer stack the
+//! matrix runner always carried — the histograms' own cost, not the
+//! pre-existing event-dispatch cost. That marginal rate ratio is
+//! acceptance-gated at ≥ 0.97 (≤ 3% overhead) in full runs, and the
+//! merged distribution lands as p50/p90/p99/p999 columns in
+//! `BENCH_throughput.json`. The cost of the `EpochSeries` telemetry
+//! observer is measured by the repository benchmark
+//! (`obs.series_ns_per_acc`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -39,22 +39,6 @@ use eeat_bench::Runner;
 use eeat_core::{Config, Simulator, DEFAULT_BLOCK};
 use eeat_obs::{EpochSeries, LatencyHistogram, LatencyObserver};
 use eeat_workloads::Workload;
-
-/// Pre-batching baseline, measured on this machine at the parent commit of
-/// the hot-loop refactor (per-access loop, AoS TLB storage,
-/// optional timeline-observer branch in the sink, pre-refactor release
-/// profile): same workload mix, 5 M instructions per cell, single thread.
-///
-/// Methodology: the build host is a noisy single-CPU box, so baseline and
-/// refactored binaries were run interleaved over many rounds and each
-/// config's entry is the *best* observed baseline rate (min-of-N wall time)
-/// — the estimate least disturbed by background load, and the one most
-/// favorable to the baseline.
-const BASELINE_ACC_PER_SEC: [(&str, f64); 3] = [
-    ("4KB", 9_113_113.0),
-    ("THP", 9_624_173.0),
-    ("RMM", 9_486_958.0),
-];
 
 const SEED: u64 = 42;
 const FULL_INSTRUCTIONS: u64 = 5_000_000;
@@ -156,45 +140,6 @@ fn measure_hist(config: &Config, instructions: u64, best_of: u32) -> (f64, f64, 
     (accesses as f64 / wall[0], accesses as f64 / wall[1], merged)
 }
 
-/// Observer-overhead check: the same plain measurement with a full
-/// [`EpochSeries`] telemetry observer (energy embedded) attached. The ratio
-/// against the plain run is the acceptance criterion that telemetry stays
-/// within noise.
-fn measure_observed(config: &Config, instructions: u64, best_of: u32) -> (u64, f64) {
-    let bucket = (instructions / 20).max(1);
-    let mut accesses = 0u64;
-    let mut seconds = 0.0f64;
-    for &workload in &Workload::TLB_INTENSIVE {
-        let mut best = f64::INFINITY;
-        let mut cell_accesses = 0u64;
-        for _ in 0..best_of.max(1) {
-            let mut sim = Simulator::from_workload(config.clone(), workload, SEED);
-            let ways = sim
-                .hierarchy()
-                .l1_4k()
-                .map(|t| t.active_ways())
-                .unwrap_or(0);
-            let mut series =
-                EpochSeries::new(0, bucket, ways, Some(sim.telemetry_energy_observer()));
-            let t = Instant::now();
-            let r = sim.run_with_observer(instructions, &mut series);
-            best = best.min(t.elapsed().as_secs_f64());
-            cell_accesses = r.stats.accesses;
-            std::hint::black_box(series.rows().len());
-        }
-        seconds += best;
-        accesses += cell_accesses;
-    }
-    (accesses, seconds)
-}
-
-fn baseline_for(name: &str) -> Option<f64> {
-    BASELINE_ACC_PER_SEC
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, v)| v)
-}
-
 fn render_json(results: &[ConfigResult], instructions: u64, smoke: bool, best_of: u32) -> String {
     let mut out = String::new();
     writeln!(out, "{{").unwrap();
@@ -214,12 +159,6 @@ fn render_json(results: &[ConfigResult], instructions: u64, smoke: bool, best_of
         writeln!(out, "      \"seconds\": {:.6},", r.seconds).unwrap();
         writeln!(out, "      \"accesses_per_sec\": {acc_per_sec:.0},").unwrap();
         writeln!(out, "      \"hist_rate_ratio\": {:.4},", r.hist_rate_ratio).unwrap();
-        if !smoke {
-            if let Some(before) = baseline_for(r.name) {
-                writeln!(out, "      \"baseline_accesses_per_sec\": {before:.0},").unwrap();
-                writeln!(out, "      \"speedup\": {:.3},", acc_per_sec / before).unwrap();
-            }
-        }
         // Same shape as an artifact `distributions` entry (mean and the
         // p50/p90/p99/p999 tail columns), merged across the workload mix.
         writeln!(
@@ -266,39 +205,11 @@ fn main() {
     for config in &configs {
         let mut r = measure(config, instructions, best_of);
         let acc_per_sec = r.accesses as f64 / r.seconds;
-        let speedup = if smoke {
-            String::new()
-        } else {
-            baseline_for(r.name)
-                .map(|b| format!("  {:>5.2}x vs baseline", acc_per_sec / b))
-                .unwrap_or_default()
-        };
         runner.line(&format!(
-            "{:4} {:>12} accesses  {:>8.3} s  {:>12.0} acc/s{}",
-            r.name, r.accesses, r.seconds, acc_per_sec, speedup,
+            "{:4} {:>12} accesses  {:>8.3} s  {:>12.0} acc/s",
+            r.name, r.accesses, r.seconds, acc_per_sec,
         ));
         runner.metric(format!("config/{}/accesses_per_sec", r.name), acc_per_sec);
-        if !smoke {
-            if let Some(before) = baseline_for(r.name) {
-                runner.metric(
-                    format!("config/{}/speedup_vs_baseline", r.name),
-                    acc_per_sec / before,
-                );
-            }
-        }
-
-        let (obs_accesses, obs_seconds) = measure_observed(config, instructions, best_of);
-        let obs_per_sec = obs_accesses as f64 / obs_seconds;
-        let ratio = obs_per_sec / acc_per_sec;
-        runner.line(&format!(
-            "{:4} observed: {:>12.0} acc/s with EpochSeries telemetry ({:.3}x plain)",
-            r.name, obs_per_sec, ratio
-        ));
-        runner.metric(
-            format!("config/{}/observed_accesses_per_sec", r.name),
-            obs_per_sec,
-        );
-        runner.metric(format!("config/{}/observer_rate_ratio", r.name), ratio);
 
         // Histogram pass: the always-on latency distributions must cost
         // under 3% of the observer-stack baseline they were added to

@@ -1,9 +1,13 @@
 //! The per-core TLB hierarchy built from a [`Config`].
+//!
+//! The simulator's pipeline probes and refills the structures one by one,
+//! but shootdowns, flushes and ASID retags treat them as one list:
+//! [`TlbHierarchy::invalidate`] applies one [`Invalidate`] scope to every
+//! present structure and [`TlbHierarchy::set_current_asid`] retags them
+//! all.
 
-use core::fmt;
-
-use eeat_tlb::{CoalescedTlb, FullyAssocTlb, RangeTlb, SetAssocTlb};
-use eeat_types::{PageSize, VirtAddr};
+use eeat_tlb::{CoalescedTlb, FullyAssocTlb, Invalidate, RangeTlb, SetAssocTlb, TranslationCache};
+use eeat_types::PageSize;
 
 use crate::config::Config;
 
@@ -189,197 +193,53 @@ impl TlbHierarchy {
         }
     }
 
-    /// Invalidates only the entries covering `va` — the precise TLB
-    /// shootdown (`invlpg`) the OS issues when it changes a single mapping,
-    /// e.g. breaking a huge page. Entries for other pages survive. Returns
-    /// the total number of entries removed across all structures.
-    pub fn shootdown(&mut self, va: VirtAddr) -> u64 {
-        let mut removed = 0u64;
-        if let Some(t) = &mut self.l1_4k {
-            removed += t.invalidate(va);
-        }
-        if let Some(t) = &mut self.l1_2m {
-            removed += t.invalidate(va);
-        }
-        if let Some(t) = &mut self.l1_1g {
-            removed += t.invalidate(va);
-        }
-        if let Some(t) = &mut self.l1_fa {
-            removed += t.invalidate(va);
-        }
-        if let Some(t) = &mut self.l1_colt {
-            removed += t.invalidate(va);
-        }
-        if let Some(t) = &mut self.l1_range {
-            removed += t.invalidate(va);
-        }
-        removed += self.l2_page.invalidate(va);
-        if let Some(t) = &mut self.l2_range {
-            removed += t.invalidate(va);
-        }
-        removed
+    /// Every present structure, L1s before L2s: the one list that
+    /// [`invalidate`](Self::invalidate) and
+    /// [`set_current_asid`](Self::set_current_asid) walk.
+    fn structures(&mut self) -> impl Iterator<Item = &mut dyn TranslationCache> {
+        [
+            self.l1_4k.as_mut().map(|t| t as &mut dyn TranslationCache),
+            self.l1_2m.as_mut().map(|t| t as _),
+            self.l1_1g.as_mut().map(|t| t as _),
+            self.l1_fa.as_mut().map(|t| t as _),
+            self.l1_colt.as_mut().map(|t| t as _),
+            self.l1_range.as_mut().map(|t| t as _),
+            Some(&mut self.l2_page as _),
+            self.l2_range.as_mut().map(|t| t as _),
+        ]
+        .into_iter()
+        .flatten()
     }
 
-    /// Retags every structure with `asid` — the multi-core context switch
-    /// that replaces [`flush_all`](Self::flush_all): entries of other ASIDs
-    /// stay resident and become visible again when their tenant returns.
+    /// Removes the entries `scope` selects from every structure and
+    /// returns the total removed. `Invalidate::Page { va, asid: None }` is
+    /// the `invlpg` of an OS changing one mapping, e.g. breaking a huge
+    /// page, so other pages survive; a remote core's IPI delivers
+    /// `asid: Some(a)`, sparing whatever its current tenant has cached; an
+    /// ASID-less context switch flushes with [`Invalidate::All`].
+    // Out of line: the context-switch flush is called from the hot loop,
+    // whose code layout should not change with this cold walk.
+    #[inline(never)]
+    pub fn invalidate(&mut self, scope: Invalidate) -> u64 {
+        self.structures().map(|t| t.invalidate(scope)).sum()
+    }
+
+    /// Retags every structure with `asid`: the multi-core context switch,
+    /// which replaces the flush of an ASID-less switch. Entries of other
+    /// ASIDs stay resident and become visible again when their tenant
+    /// returns.
     pub fn set_current_asid(&mut self, asid: u16) {
-        if let Some(t) = &mut self.l1_4k {
-            t.set_current_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_2m {
-            t.set_current_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_1g {
-            t.set_current_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_fa {
-            t.set_current_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_colt {
-            t.set_current_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_range {
-            t.set_current_asid(asid);
-        }
-        self.l2_page.set_current_asid(asid);
-        if let Some(t) = &mut self.l2_range {
-            t.set_current_asid(asid);
-        }
-    }
-
-    /// The shootdown an IPI delivers on a *remote* core: invalidates only
-    /// the non-global entries of `asid` covering `va`, sparing whatever the
-    /// core's current tenant has cached. Returns the total number of
-    /// entries removed across all structures.
-    pub fn shootdown_asid(&mut self, asid: u16, va: VirtAddr) -> u64 {
-        let mut removed = 0u64;
-        if let Some(t) = &mut self.l1_4k {
-            removed += t.invalidate_asid(asid, va);
-        }
-        if let Some(t) = &mut self.l1_2m {
-            removed += t.invalidate_asid(asid, va);
-        }
-        if let Some(t) = &mut self.l1_1g {
-            removed += t.invalidate_asid(asid, va);
-        }
-        if let Some(t) = &mut self.l1_fa {
-            removed += t.invalidate_asid(asid, va);
-        }
-        if let Some(t) = &mut self.l1_colt {
-            removed += t.invalidate_asid(asid, va);
-        }
-        if let Some(t) = &mut self.l1_range {
-            removed += t.invalidate_asid(asid, va);
-        }
-        removed += self.l2_page.invalidate_asid(asid, va);
-        if let Some(t) = &mut self.l2_range {
-            removed += t.invalidate_asid(asid, va);
-        }
-        removed
-    }
-
-    /// Removes every non-global entry of `asid` from every structure — the
-    /// teardown of an exiting tenant (ASID recycling). Returns the total
-    /// number of entries removed.
-    pub fn flush_asid(&mut self, asid: u16) -> u64 {
-        let mut removed = 0u64;
-        if let Some(t) = &mut self.l1_4k {
-            removed += t.flush_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_2m {
-            removed += t.flush_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_1g {
-            removed += t.flush_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_fa {
-            removed += t.flush_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_colt {
-            removed += t.flush_asid(asid);
-        }
-        if let Some(t) = &mut self.l1_range {
-            removed += t.flush_asid(asid);
-        }
-        removed += self.l2_page.flush_asid(asid);
-        if let Some(t) = &mut self.l2_range {
-            removed += t.flush_asid(asid);
-        }
-        removed
-    }
-
-    /// Flushes every structure — the full-context invalidation of an
-    /// address-space switch without ASIDs. Per-page shootdowns use the
-    /// precise [`shootdown`](Self::shootdown) instead.
-    pub fn flush_all(&mut self) {
-        if let Some(t) = &mut self.l1_4k {
-            t.flush();
-        }
-        if let Some(t) = &mut self.l1_2m {
-            t.flush();
-        }
-        if let Some(t) = &mut self.l1_1g {
-            t.flush();
-        }
-        if let Some(t) = &mut self.l1_fa {
-            t.flush();
-        }
-        if let Some(t) = &mut self.l1_colt {
-            t.flush();
-        }
-        if let Some(t) = &mut self.l1_range {
-            t.flush();
-        }
-        self.l2_page.flush();
-        if let Some(t) = &mut self.l2_range {
-            t.flush();
-        }
-    }
-}
-
-impl fmt::Display for TlbHierarchy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        let mut sep = |f: &mut fmt::Formatter<'_>| -> fmt::Result {
-            if !first {
-                write!(f, "; ")?;
-            }
-            first = false;
-            Ok(())
-        };
-        if let Some(t) = &self.l1_4k {
-            sep(f)?;
-            write!(f, "{t}")?;
-        }
-        if let Some(t) = &self.l1_2m {
-            sep(f)?;
-            write!(f, "{t}")?;
-        }
-        if let Some(t) = &self.l1_fa {
-            sep(f)?;
-            write!(f, "{t}")?;
-        }
-        if let Some(t) = &self.l1_colt {
-            sep(f)?;
-            write!(f, "{t}")?;
-        }
-        if let Some(t) = &self.l1_range {
-            sep(f)?;
-            write!(f, "{t}")?;
-        }
-        sep(f)?;
-        write!(f, "{}", self.l2_page)?;
-        if let Some(t) = &self.l2_range {
-            write!(f, "; {t}")?;
-        }
-        Ok(())
+        self.structures().for_each(|t| t.set_current_asid(asid));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TlbGeometry;
+    use crate::org::Org;
+    use eeat_tlb::{PageTranslation, COLT_GROUP};
+    use eeat_types::{Pfn, PhysAddr, RangeTranslation, VirtAddr, VirtRange, Vpn};
 
     #[test]
     fn four_k_config_builds_minimal_hierarchy() {
@@ -417,11 +277,17 @@ mod tests {
         assert_eq!(h.l1_4k().unwrap().name(), "L1-unified");
     }
 
+    /// The `invlpg` scope: every entry covering `va`, any ASID.
+    fn page(va: u64) -> Invalidate {
+        Invalidate::Page {
+            va: VirtAddr::new(va),
+            asid: None,
+        }
+    }
+
     #[test]
     fn shootdown_is_precise() {
         let mut h = TlbHierarchy::from_config(&Config::rmm_lite());
-        use eeat_tlb::PageTranslation;
-        use eeat_types::{Pfn, Vpn};
         for vpn in [5u64, 6, 7] {
             h.l1_4k.as_mut().unwrap().insert(PageTranslation::new(
                 Vpn::new(vpn),
@@ -436,7 +302,7 @@ mod tests {
         }
         // Shooting down page 5 removes it from the L1 and the L2 but leaves
         // the neighbouring pages alone.
-        assert_eq!(h.shootdown(VirtAddr::new(5 * 4096)), 2);
+        assert_eq!(h.invalidate(page(5 * 4096)), 2);
         assert_eq!(h.l1_4k().unwrap().occupancy(), 2);
         assert_eq!(h.l2_page().occupancy(), 2);
         assert!(h
@@ -450,21 +316,7 @@ mod tests {
             .probe(VirtAddr::new(6 * 4096), PageSize::Size4K)
             .is_some());
         // A repeated shootdown of the same page finds nothing.
-        assert_eq!(h.shootdown(VirtAddr::new(5 * 4096)), 0);
-    }
-
-    #[test]
-    fn flush_all_empties_structures() {
-        let mut h = TlbHierarchy::from_config(&Config::rmm_lite());
-        use eeat_tlb::PageTranslation;
-        use eeat_types::{Pfn, Vpn};
-        h.l1_4k.as_mut().unwrap().insert(PageTranslation::new(
-            Vpn::new(5),
-            Pfn::new(6),
-            PageSize::Size4K,
-        ));
-        h.flush_all();
-        assert_eq!(h.l1_4k().unwrap().occupancy(), 0);
+        assert_eq!(h.invalidate(page(5 * 4096)), 0);
     }
 
     #[test]
@@ -539,26 +391,181 @@ mod tests {
 
     #[test]
     fn colt_hierarchy_builds_and_invalidates() {
-        use eeat_types::{Pfn, Vpn};
         let mut h = TlbHierarchy::from_config(&Config::colt());
         assert!(h.l1_4k().is_none() && h.l1_2m().is_none());
         let colt = h.l1_colt.as_mut().expect("CoLT builds a coalesced L1");
         assert_eq!(colt.capacity(), 64);
         assert_eq!(colt.ways(), 4);
         colt.insert_group(Vpn::new(0), Pfn::new(64), 0b0011);
-        assert_eq!(h.shootdown(VirtAddr::new(0)), 1);
+        assert_eq!(h.invalidate(page(0)), 1);
         assert_eq!(h.l1_colt().unwrap().coverage_pages(), 1);
-        h.flush_all();
+        assert_eq!(h.invalidate(Invalidate::All), 1);
         assert_eq!(h.l1_colt().unwrap().occupancy(), 0);
-        assert!(h.to_string().contains("L1-CoLT"));
+    }
+
+    /// The reach test's handle on one structure, enumerated field by
+    /// field so that a structure missing from `structures()` shows.
+    trait Fixture {
+        /// Entry spacing: the structure's page size, a CoLT group, or a
+        /// 16 MiB range.
+        fn stride(&self) -> u64;
+        /// Caches one entry at `va` under `asid` (global when asked), with
+        /// an ASID-specific frame.
+        fn fill(&mut self, va: u64, asid: u16, global: bool);
+        /// The physical address `va` translates to under the current ASID.
+        fn probe_pa(&self, va: u64) -> Option<u64>;
+        fn count(&self) -> usize;
+    }
+
+    fn frame(va: u64, asid: u16) -> u64 {
+        va + (u64::from(asid) << 40)
+    }
+
+    macro_rules! page_fixture {
+        ($($tlb:ty),*) => {$(
+            impl Fixture for $tlb {
+                fn stride(&self) -> u64 {
+                    self.default_size().bytes()
+                }
+                fn fill(&mut self, va: u64, asid: u16, global: bool) {
+                    self.set_current_asid(asid);
+                    let t = PageTranslation::new(
+                        VirtAddr::new(va).vpn(),
+                        Pfn::new(frame(va, asid) >> 12),
+                        self.default_size(),
+                    );
+                    if global { self.insert_global(t) } else { self.insert(t) }
+                }
+                fn probe_pa(&self, va: u64) -> Option<u64> {
+                    let va = VirtAddr::new(va);
+                    self.probe(va, self.default_size()).map(|t| t.translate(va).raw())
+                }
+                fn count(&self) -> usize {
+                    self.occupancy()
+                }
+            }
+        )*};
+    }
+    page_fixture!(SetAssocTlb, FullyAssocTlb);
+
+    impl Fixture for RangeTlb {
+        fn stride(&self) -> u64 {
+            16 << 20
+        }
+        fn fill(&mut self, va: u64, asid: u16, global: bool) {
+            self.set_current_asid(asid);
+            let virt = VirtRange::new(VirtAddr::new(va), self.stride());
+            let t = RangeTranslation::new(virt, PhysAddr::new(frame(va, asid)));
+            if global {
+                self.insert_global(t)
+            } else {
+                self.insert(t)
+            }
+        }
+        fn probe_pa(&self, va: u64) -> Option<u64> {
+            let va = VirtAddr::new(va);
+            self.probe(va)
+                .and_then(|t| t.translate(va))
+                .map(PhysAddr::raw)
+        }
+        fn count(&self) -> usize {
+            self.occupancy()
+        }
+    }
+
+    impl Fixture for CoalescedTlb {
+        fn stride(&self) -> u64 {
+            COLT_GROUP as u64 * 4096
+        }
+        fn fill(&mut self, va: u64, asid: u16, global: bool) {
+            self.set_current_asid(asid);
+            let (group, base) = (Vpn::new(va >> 12), Pfn::new(frame(va, asid) >> 12));
+            if global {
+                self.insert_group_global(group, base, 1)
+            } else {
+                self.insert_group(group, base, 1)
+            }
+        }
+        fn probe_pa(&self, va: u64) -> Option<u64> {
+            let va = VirtAddr::new(va);
+            self.probe(va).map(|t| t.translate(va).raw())
+        }
+        fn count(&self) -> usize {
+            self.occupancy()
+        }
+    }
+
+    fn fixtures(h: &mut TlbHierarchy) -> Vec<&mut dyn Fixture> {
+        let mut v: Vec<&mut dyn Fixture> = vec![&mut h.l2_page];
+        v.extend(h.l1_4k.as_mut().map(|t| t as _));
+        v.extend(h.l1_2m.as_mut().map(|t| t as _));
+        v.extend(h.l1_1g.as_mut().map(|t| t as _));
+        v.extend(h.l1_fa.as_mut().map(|t| t as _));
+        v.extend(h.l1_colt.as_mut().map(|t| t as _));
+        v.extend(h.l1_range.as_mut().map(|t| t as _));
+        v.extend(h.l2_range.as_mut().map(|t| t as _));
+        v
+    }
+
+    const GIB: u64 = 1 << 30;
+
+    /// Each structure caches X under ASIDs 1 and 2, Y under ASID 1 and a
+    /// global Z. X starts at 1 GiB in every structure, so one page scope
+    /// covers them all, while Y and Z sit in other sets.
+    fn xyz(t: &dyn Fixture) -> [u64; 3] {
+        [GIB, 2 * GIB + t.stride(), 3 * GIB + 2 * t.stride()]
+    }
+
+    /// Asserts every structure holds `count` entries and translates X, Y
+    /// and Z with the frames of `owners` (`None`: a miss).
+    fn expect(h: &mut TlbHierarchy, count: usize, owners: [Option<u16>; 3]) {
+        for (i, t) in fixtures(h).into_iter().enumerate() {
+            let vas = xyz(t);
+            let seen = vas.map(|va| t.probe_pa(va));
+            let want: [_; 3] = std::array::from_fn(|k| owners[k].map(|a| frame(vas[k], a)));
+            assert_eq!((t.count(), seen), (count, want), "structure {i}");
+        }
     }
 
     #[test]
-    fn display_lists_structures() {
-        let h = TlbHierarchy::from_config(&Config::rmm());
-        let s = h.to_string();
-        assert!(s.contains("L1-4KB"));
-        assert!(s.contains("L1-2MB"));
-        assert!(s.contains("L2-range"));
+    fn invalidate_and_retag_reach_every_structure() {
+        let mut configs: Vec<Config> = Org::all().iter().map(|org| org.config()).collect();
+        configs.push(Config {
+            l1_1g: Some(TlbGeometry::new(4, 4)),
+            ..Config::thp()
+        });
+        configs.push(Config::fa_thp());
+        for config in configs {
+            let mut h = TlbHierarchy::from_config(&config);
+            let structures = fixtures(&mut h).len() as u64;
+            for t in fixtures(&mut h) {
+                let [x, y, z] = xyz(t);
+                t.fill(x, 1, false);
+                t.fill(x, 2, false);
+                t.fill(y, 1, false);
+                t.fill(z, 2, true);
+            }
+            h.set_current_asid(1);
+            expect(&mut h, 4, [Some(1), Some(1), Some(2)]);
+            h.set_current_asid(2);
+            expect(&mut h, 4, [Some(2), None, Some(2)]);
+
+            let x1 = Invalidate::Page {
+                va: VirtAddr::new(GIB + 123),
+                asid: Some(1),
+            };
+            assert_eq!(h.invalidate(x1), structures, "{}", config.name);
+            expect(&mut h, 3, [Some(2), None, Some(2)]);
+            h.set_current_asid(1);
+            expect(&mut h, 3, [None, Some(1), Some(2)]);
+
+            assert_eq!(h.invalidate(Invalidate::Asid(1)), structures);
+            expect(&mut h, 2, [None, None, Some(2)]);
+            h.set_current_asid(2);
+            expect(&mut h, 2, [Some(2), None, Some(2)]);
+
+            assert_eq!(h.invalidate(Invalidate::All), 2 * structures);
+            expect(&mut h, 0, [None, None, None]);
+        }
     }
 }

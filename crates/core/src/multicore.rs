@@ -15,13 +15,16 @@
 //!
 //! Coherence is modelled explicitly: when a core demotes one of its current
 //! tenant's huge pages, the local structures take a precise ASID-tagged
-//! shootdown, and every *other* core that may hold the tenant's
-//! translations (it ran the tenant at least once) is sent an IPI over a
-//! sequence-numbered FIFO bus. IPIs are delivered at the receiving core's
-//! next quantum boundary — latency of at most one quantum, deterministic
-//! regardless of host parallelism. Sends, deliveries, and ASID retags cost
-//! cycles and energy through [`eeat_energy::IpiObserver`] riding each
-//! core's event stream.
+//! shootdown ([`TlbHierarchy::invalidate`](crate::TlbHierarchy::invalidate)
+//! with an [`Invalidate::Page`] scope whose `asid` is the tenant's), and
+//! every *other* core that may hold the tenant's translations (it ran the
+//! tenant at least once) is sent an IPI over a sequence-numbered FIFO bus.
+//! Delivery applies the same scope there, sparing the receiving core's
+//! other tenants and global entries. IPIs are delivered at the receiving
+//! core's next quantum boundary — latency of at most one quantum,
+//! deterministic regardless of host parallelism. Sends, deliveries, and
+//! ASID retags cost cycles and energy through [`eeat_energy::IpiObserver`]
+//! riding each core's event stream.
 //!
 //! With `cores = 1, tenants = 1` the driver degenerates to the plain
 //! single-core simulator: no switches, no IPIs, one energy settle per
@@ -33,7 +36,7 @@ use std::mem;
 
 use eeat_energy::{IpiBreakdown, IpiObserver};
 use eeat_os::{AddressSpace, ShardedFrameAllocator};
-use eeat_tlb::ASID_MASK;
+use eeat_tlb::{Invalidate, ASID_MASK};
 use eeat_types::events::{Observer, TranslationEvent};
 use eeat_types::{MemAccess, PageSize, VirtAddr};
 use eeat_workloads::{Workload, WorkloadSpec};
@@ -186,7 +189,8 @@ impl MultiCoreSim {
     ///
     /// Tenant `t` gets seed `seed.wrapping_add(t)` (tenant 0 uses `seed`
     /// exactly, preserving single-tenant parity) and its own disjoint,
-    /// 2 MiB-aligned shard of [`FRAMES_PER_TENANT`] physical frames.
+    /// 2 MiB-aligned shard of 16 GiB of physical frames (the single-core
+    /// default).
     ///
     /// # Panics
     ///
@@ -329,7 +333,10 @@ impl MultiCoreSim {
                 "IPI bus delivered out of order"
             );
             last_seq = Some(msg.seq);
-            let mut invalidations = sim.hierarchy.shootdown_asid(msg.asid, msg.va);
+            let mut invalidations = sim.hierarchy.invalidate(Invalidate::Page {
+                va: msg.va,
+                asid: Some(msg.asid),
+            });
             if msg.asid as usize == *tenant {
                 // Untagged walker state holds only the current tenant's
                 // entries; in virtualized mode the guest invalidation also
@@ -406,7 +413,10 @@ impl MultiCoreSim {
             sim.size_oracle.set(key, PageSize::Size4K);
             // invlpg semantics, scoped to the owning ASID: other tenants'
             // translations of unrelated address spaces are untouched.
-            sim.hierarchy.shootdown_asid(asid, va);
+            sim.hierarchy.invalidate(Invalidate::Page {
+                va,
+                asid: Some(asid),
+            });
             sim.invalidate_walker(va);
             sim.sinks
                 .emit(&mut (&mut *ipi, &mut *extra), TranslationEvent::Shootdown);

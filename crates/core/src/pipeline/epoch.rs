@@ -2,6 +2,7 @@
 //! decision, including the settle events that let energy observers charge
 //! resizable-L1 operations at their outgoing sizes.
 
+use eeat_tlb::Invalidate;
 use eeat_types::events::{Observer, ResizableUnit, TranslationEvent};
 
 use crate::hierarchy::TlbHierarchy;
@@ -21,7 +22,7 @@ pub(crate) fn context_switch_if_due<E: Observer>(sim: &mut Simulator, extra: &mu
     sim.sinks.flush_deltas(extra);
     // Context switch: everything translation-related is lost (including,
     // in virtualized mode, the nested TLB's combined entries).
-    sim.hierarchy.flush_all();
+    sim.hierarchy.invalidate(Invalidate::All);
     sim.walker.flush();
     sim.flushes += 1;
     // Advance on the fixed grid, not from the (possibly late) flush

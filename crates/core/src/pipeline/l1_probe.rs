@@ -152,7 +152,7 @@ pub(crate) fn probe(sim: &mut Simulator, ctx: &StepCtx, va: VirtAddr) -> L1Outco
 
 #[cfg(test)]
 mod tests {
-    use eeat_tlb::PageTranslation;
+    use eeat_tlb::{Invalidate, PageTranslation};
     use eeat_types::{Pfn, PhysAddr, RangeTranslation, VirtRange, Vpn};
     use eeat_workloads::Workload;
 
@@ -190,7 +190,11 @@ mod tests {
             "range coverage must win over a simultaneous page hit"
         );
         // Alone, the page entry serves the VA as an ordinary page hit.
-        sim.hierarchy.l1_range.as_mut().unwrap().flush();
+        sim.hierarchy
+            .l1_range
+            .as_mut()
+            .unwrap()
+            .invalidate(Invalidate::All);
         assert!(matches!(
             probe(&mut sim, &ctx, va),
             L1Outcome::PageHit { .. }

@@ -43,20 +43,6 @@ use crate::hierarchy::MonitorIndices;
 use crate::simulator::Simulator;
 use crate::stats::StatsObserver;
 
-/// How one access ultimately resolved (the pipeline's end-to-end outcome).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum TranslationOutcome {
-    /// Served by an L1 structure (0 cycles).
-    L1Hit(HitColumn),
-    /// Served by an L2 structure after missing every L1 (7 cycles).
-    L2Hit {
-        /// `true` when the L2-range TLB served it.
-        range: bool,
-    },
-    /// Resolved by a page walk (50 cycles).
-    Walked,
-}
-
 /// Per-access invariant state, hoisted out of the hot loop.
 ///
 /// Everything here is fixed for the lifetime of a run: the set of present
@@ -276,7 +262,7 @@ pub(crate) fn step<E: Observer>(
     ctx: &StepCtx,
     access: MemAccess,
     extra: &mut E,
-) -> TranslationOutcome {
+) {
     let va = access.vaddr();
     sim.clock += u64::from(access.instructions());
     sim.sinks.emit(
@@ -287,8 +273,7 @@ pub(crate) fn step<E: Observer>(
     );
     epoch::context_switch_if_due(sim, extra);
 
-    let l1 = l1_probe::probe(sim, ctx, va);
-    let outcome = match l1 {
+    match l1_probe::probe(sim, ctx, va) {
         l1_probe::L1Outcome::RangeHit => {
             // The range TLB serves the translation; a redundant page-TLB
             // hit adds no utility (disabling those ways would not create an
@@ -299,7 +284,6 @@ pub(crate) fn step<E: Observer>(
                     column: HitColumn::Range,
                 },
             );
-            TranslationOutcome::L1Hit(HitColumn::Range)
         }
         l1_probe::L1Outcome::PageHit {
             column,
@@ -310,7 +294,6 @@ pub(crate) fn step<E: Observer>(
             if let (Some(lite), Some(idx)) = (sim.lite.as_mut(), monitor) {
                 lite.record_hit(idx, rank);
             }
-            TranslationOutcome::L1Hit(column)
         }
         l1_probe::L1Outcome::Miss => {
             // All L1 structures missed: access the L2 TLBs (7 cycles).
@@ -324,19 +307,16 @@ pub(crate) fn step<E: Observer>(
                 let range = l2.page.is_none();
                 sim.sinks.emit(extra, TranslationEvent::L2Hit { range });
                 refill::after_l2_hit(sim, ctx, &l2, va, size);
-                TranslationOutcome::L2Hit { range }
             } else {
                 // L2 miss: page walk (50 cycles).
                 sim.sinks.emit(extra, TranslationEvent::L2Miss);
                 let translation = walk::translate(sim, va, extra);
                 refill::after_walk(sim, ctx, translation);
                 walk::range_walk_background(sim, ctx, va, extra);
-                TranslationOutcome::Walked
             }
         }
-    };
+    }
 
     epoch::interval_check(sim, ctx, extra);
     sim.sinks.emit(extra, TranslationEvent::StepEnd);
-    outcome
 }

@@ -83,9 +83,16 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics when `accesses` is empty or exceeds physical memory.
+    /// Panics when `accesses` is empty, names an address at or above 2^48
+    /// (the reach of the 4-level page table, which
+    /// [`trace_file::read_trace`] also enforces), or exceeds physical
+    /// memory.
     pub fn from_trace(config: Config, accesses: Vec<MemAccess>, seed: u64) -> Self {
         assert!(!accesses.is_empty(), "cannot replay an empty trace");
+        assert!(
+            accesses.iter().all(|a| a.vaddr().raw() < 1 << 48),
+            "trace addresses must lie below 2^48, the reach of the 4-level page table"
+        );
         let mut address_space = AddressSpace::new(config.policy, seed);
         if config.depth.is_virtualized() {
             address_space.virtualize();

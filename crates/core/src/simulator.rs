@@ -27,6 +27,7 @@
 use eeat_energy::{CycleBreakdown, EnergyBreakdown, EnergyModel, LeakageInputs};
 use eeat_os::AddressSpace;
 use eeat_paging::{NestedWalker, PageWalker};
+use eeat_tlb::Invalidate;
 use eeat_types::events::{Observer, TranslationEvent};
 use eeat_types::{MemAccess, PageSize, VirtAddr};
 
@@ -459,7 +460,8 @@ impl Simulator {
                 // invlpg semantics: only the demoted mapping (and its
                 // cached paging-structure entries) is shot down; unrelated
                 // translations survive.
-                self.hierarchy.shootdown(va);
+                self.hierarchy
+                    .invalidate(Invalidate::Page { va, asid: None });
                 self.invalidate_walker(va);
                 self.sinks.emit(&mut (), TranslationEvent::Shootdown);
                 broken += 1;

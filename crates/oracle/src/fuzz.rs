@@ -19,14 +19,15 @@ use std::fmt;
 
 use eeat_core::{LiteController, LiteParams, ThresholdEpsilon, TranslationOrg};
 use eeat_paging::{MmuCaches, NestedWalker, PageTable, PageWalker};
-use eeat_tlb::{CoalescedTlb, FullyAssocTlb, PageTranslation, RangeTlb, SetAssocTlb, TlbStats};
+use eeat_tlb::{
+    CoalescedTlb, FullyAssocTlb, Invalidate, PageTranslation, RangeTlb, SetAssocTlb, TlbStats,
+};
 use eeat_types::rng::{RngCore, RngExt, SeedableRng, SmallRng, SplitMix64};
 use eeat_types::{PageSize, Pfn, PhysAddr, RangeTranslation, VirtAddr, VirtRange, Vpn};
 
 use crate::lite::OracleLite;
 use crate::model::{
-    OracleAsidTlb, OracleColtTlb, OracleNestedWalker, OraclePageTlb, OracleRangeTlb, OracleStats,
-    OracleWalker,
+    OracleColtTlb, OracleNestedWalker, OraclePageTlb, OracleRangeTlb, OracleWalker,
 };
 
 /// The production structure a fuzz run drives.
@@ -45,7 +46,7 @@ pub enum Target {
     /// [`CoalescedTlb`], 16 entries × 2 ways over a 32-group universe.
     Colt,
     /// Two ASID-tagged [`SetAssocTlb`] "cores" behind a seq-numbered
-    /// shootdown-IPI queue, versus per-core [`OracleAsidTlb`] models:
+    /// shootdown-IPI queue, versus per-core [`OraclePageTlb`] models:
     /// context switches, global entries, cross-core shootdowns, delivery
     /// ordering, and shootdown-vs-refill races.
     Multicore,
@@ -262,6 +263,25 @@ pub enum Op {
         /// Controller RNG seed.
         seed: u64,
     },
+}
+
+impl Op {
+    /// The TLB invalidation a single-structure target performs for this
+    /// op, or `None` when the op is not one.
+    fn scope(self) -> Option<Invalidate> {
+        match self {
+            Op::Flush => Some(Invalidate::All),
+            Op::Invalidate { va } => Some(Invalidate::Page {
+                va: VirtAddr::new(va),
+                asid: None,
+            }),
+            Op::InvalidateRange { start, len } => Some(Invalidate::Range {
+                range: VirtRange::new(VirtAddr::new(start), len),
+                asid: None,
+            }),
+            _ => None,
+        }
+    }
 }
 
 /// A step where production and oracle disagreed.
@@ -794,9 +814,17 @@ fn check(cond: bool, detail: impl FnOnce() -> String) -> Result<(), String> {
     }
 }
 
-fn check_stats(oracle: &OracleStats, prod: &TlbStats, what: &str) -> Result<(), String> {
-    check(oracle.matches(prod), || {
-        format!("{what} stats diverged: {}", oracle.diff(prod))
+fn check_stats(oracle: &TlbStats, prod: &TlbStats, what: &str) -> Result<(), String> {
+    check(oracle == prod, || {
+        format!("{what} stats diverged: oracle {oracle:?} vs production {prod:?}")
+    })
+}
+
+/// The one check every invalidation op ends with: both sides removed the
+/// same number of entries.
+fn check_removed(prod: u64, oracle: u64, scope: Invalidate) -> Result<(), String> {
+    check(prod == oracle, || {
+        format!("{scope:?} removed prod {prod} vs oracle {oracle}")
     })
 }
 
@@ -847,6 +875,9 @@ fn occupancy_check(prod: usize, oracle: usize) -> Result<(), String> {
 
 fn sa_step(prod: &mut SetAssocTlb, oracle: &mut OraclePageTlb, op: Op) -> Result<(), String> {
     match op {
+        _ if let Some(scope) = op.scope() => {
+            check_removed(prod.invalidate(scope), oracle.invalidate(scope), scope)?;
+        }
         Op::Lookup { va, size } => {
             let va = VirtAddr::new(va);
             let p = prod
@@ -866,26 +897,6 @@ fn sa_step(prod: &mut SetAssocTlb, oracle: &mut OraclePageTlb, op: Op) -> Result
             prod.set_active_ways(ways);
             oracle.set_active_ways(ways);
         }
-        Op::Flush => {
-            prod.flush();
-            oracle.flush();
-        }
-        Op::Invalidate { va } => {
-            let va = VirtAddr::new(va);
-            let p = prod.invalidate(va);
-            let o = oracle.invalidate(va);
-            check(p == o, || {
-                format!("invalidate removed prod {p} vs oracle {o}")
-            })?;
-        }
-        Op::InvalidateRange { start, len } => {
-            let r = VirtRange::new(VirtAddr::new(start), len);
-            let p = prod.invalidate_range(r);
-            let o = oracle.invalidate_range(r);
-            check(p == o, || {
-                format!("invalidate_range removed prod {p} vs oracle {o}")
-            })?;
-        }
         other => panic!("op {other:?} not applicable to set_assoc"),
     }
     prod.assert_invariants();
@@ -896,6 +907,9 @@ fn sa_step(prod: &mut SetAssocTlb, oracle: &mut OraclePageTlb, op: Op) -> Result
 
 fn fa_step(prod: &mut FullyAssocTlb, oracle: &mut OraclePageTlb, op: Op) -> Result<(), String> {
     match op {
+        _ if let Some(scope) = op.scope() => {
+            check_removed(prod.invalidate(scope), oracle.invalidate(scope), scope)?;
+        }
         Op::Lookup { va, size } => {
             let va = VirtAddr::new(va);
             let p = prod
@@ -923,26 +937,6 @@ fn fa_step(prod: &mut FullyAssocTlb, oracle: &mut OraclePageTlb, op: Op) -> Resu
             prod.set_active_entries(ways);
             oracle.set_active_ways(ways);
         }
-        Op::Flush => {
-            prod.flush();
-            oracle.flush();
-        }
-        Op::Invalidate { va } => {
-            let va = VirtAddr::new(va);
-            let p = prod.invalidate(va);
-            let o = oracle.invalidate(va);
-            check(p == o, || {
-                format!("invalidate removed prod {p} vs oracle {o}")
-            })?;
-        }
-        Op::InvalidateRange { start, len } => {
-            let r = VirtRange::new(VirtAddr::new(start), len);
-            let p = prod.invalidate_range(r);
-            let o = oracle.invalidate_range(r);
-            check(p == o, || {
-                format!("invalidate_range removed prod {p} vs oracle {o}")
-            })?;
-        }
         other => panic!("op {other:?} not applicable to fully_assoc"),
     }
     prod.assert_invariants();
@@ -967,6 +961,9 @@ fn fa_step(prod: &mut FullyAssocTlb, oracle: &mut OraclePageTlb, op: Op) -> Resu
 
 fn range_step(prod: &mut RangeTlb, oracle: &mut OracleRangeTlb, op: Op) -> Result<(), String> {
     match op {
+        _ if let Some(scope) = op.scope() => {
+            check_removed(prod.invalidate(scope), oracle.invalidate(scope), scope)?;
+        }
         Op::LookupAny { va } => {
             let va = VirtAddr::new(va);
             let p = prod.lookup(va);
@@ -979,26 +976,6 @@ fn range_step(prod: &mut RangeTlb, oracle: &mut OracleRangeTlb, op: Op) -> Resul
             let rt = range_pool(index);
             prod.insert(rt);
             oracle.insert(rt);
-        }
-        Op::Flush => {
-            prod.flush();
-            oracle.flush();
-        }
-        Op::Invalidate { va } => {
-            let va = VirtAddr::new(va);
-            let p = prod.invalidate(va);
-            let o = oracle.invalidate(va);
-            check(p == o, || {
-                format!("invalidate removed prod {p} vs oracle {o}")
-            })?;
-        }
-        Op::InvalidateRange { start, len } => {
-            let r = VirtRange::new(VirtAddr::new(start), len);
-            let p = prod.invalidate_range(r);
-            let o = oracle.invalidate_range(r);
-            check(p == o, || {
-                format!("invalidate_range removed prod {p} vs oracle {o}")
-            })?;
         }
         other => panic!("op {other:?} not applicable to range"),
     }
@@ -1019,6 +996,9 @@ fn range_step(prod: &mut RangeTlb, oracle: &mut OracleRangeTlb, op: Op) -> Resul
 
 fn colt_step(prod: &mut CoalescedTlb, oracle: &mut OracleColtTlb, op: Op) -> Result<(), String> {
     match op {
+        _ if let Some(scope) = op.scope() => {
+            check_removed(prod.invalidate(scope), oracle.invalidate(scope), scope)?;
+        }
         Op::LookupAny { va } => {
             let va = VirtAddr::new(va);
             let p = prod.lookup(va).map(|h| (h.translation, h.rank));
@@ -1035,26 +1015,6 @@ fn colt_step(prod: &mut CoalescedTlb, oracle: &mut OracleColtTlb, op: Op) -> Res
             let base = colt_base(group, alt_base);
             prod.insert_group(Vpn::new(group), base, mask);
             oracle.insert_group(Vpn::new(group), base, mask);
-        }
-        Op::Flush => {
-            prod.flush();
-            oracle.flush();
-        }
-        Op::Invalidate { va } => {
-            let va = VirtAddr::new(va);
-            let p = prod.invalidate(va);
-            let o = oracle.invalidate(va);
-            check(p == o, || {
-                format!("invalidate removed prod {p} vs oracle {o}")
-            })?;
-        }
-        Op::InvalidateRange { start, len } => {
-            let r = VirtRange::new(VirtAddr::new(start), len);
-            let p = prod.invalidate_range(r);
-            let o = oracle.invalidate_range(r);
-            check(p == o, || {
-                format!("invalidate_range removed prod {p} vs oracle {o}")
-            })?;
         }
         other => panic!("op {other:?} not applicable to colt"),
     }
@@ -1402,7 +1362,7 @@ struct McIpi {
 /// resurrects the page, and the delivery must kill it again).
 struct MulticoreHarness {
     prod: Vec<SetAssocTlb>,
-    oracle: Vec<OracleAsidTlb>,
+    oracle: Vec<OraclePageTlb>,
     queues: Vec<VecDeque<McIpi>>,
     delivered_seq: Vec<u64>,
     next_seq: u64,
@@ -1414,11 +1374,65 @@ impl MulticoreHarness {
             prod: (0..MC_CORES)
                 .map(|_| SetAssocTlb::new("fuzz-mc", 64, 4, PageSize::Size4K))
                 .collect(),
-            oracle: (0..MC_CORES).map(|_| OracleAsidTlb::new(64, 4)).collect(),
+            oracle: (0..MC_CORES).map(|_| OraclePageTlb::new(64, 4)).collect(),
             queues: (0..MC_CORES).map(|_| VecDeque::new()).collect(),
             delivered_seq: vec![0; MC_CORES],
             next_seq: 1,
         }
+    }
+
+    /// The core and scope an invalidation op reaches, after its IPI
+    /// bookkeeping. A shootdown of `va` under the initiator's current ASID
+    /// also queues a seq-numbered IPI against every other core; a delivery
+    /// drains the oldest IPI queued against its core, checking that
+    /// deliveries follow the global sequence order, and reaches nothing
+    /// when that queue is empty.
+    fn invalidation(&mut self, op: Op) -> Result<Option<(usize, Invalidate)>, String> {
+        let page = |va, asid| Invalidate::Page {
+            va: VirtAddr::new(va),
+            asid: Some(asid),
+        };
+        Ok(Some(match op {
+            Op::ShootdownVa { core, va } => {
+                let asid = self.prod[core].current_asid();
+                for other in (0..MC_CORES).filter(|&other| other != core) {
+                    self.queues[other].push_back(McIpi {
+                        seq: self.next_seq,
+                        asid,
+                        va,
+                    });
+                    self.next_seq += 1;
+                }
+                (core, page(va, asid))
+            }
+            Op::DeliverIpi { core } => {
+                let Some(ipi) = self.queues[core].pop_front() else {
+                    return Ok(None);
+                };
+                check(ipi.seq > self.delivered_seq[core], || {
+                    format!(
+                        "core {core} delivered IPI seq {} after seq {}",
+                        ipi.seq, self.delivered_seq[core]
+                    )
+                })?;
+                self.delivered_seq[core] = ipi.seq;
+                (core, page(ipi.va, ipi.asid))
+            }
+            Op::FlushAsid { core, asid } => (core, Invalidate::Asid(asid)),
+            Op::InvalidateRangeAsid {
+                core,
+                asid,
+                start,
+                len,
+            } => (
+                core,
+                Invalidate::Range {
+                    range: VirtRange::new(VirtAddr::new(start), len),
+                    asid: Some(asid),
+                },
+            ),
+            other => unreachable!("{other:?} is not a multicore invalidation"),
+        }))
     }
 
     fn step(&mut self, op: Op) -> Result<(), String> {
@@ -1456,65 +1470,15 @@ impl MulticoreHarness {
                 self.prod[core].set_active_ways(ways);
                 self.oracle[core].set_active_ways(ways);
             }
-            Op::ShootdownVa { core, va } => {
-                let asid = self.prod[core].current_asid();
-                let addr = VirtAddr::new(va);
-                let p = self.prod[core].invalidate_asid(asid, addr);
-                let o = self.oracle[core].invalidate_asid(asid, addr);
-                check(p == o, || {
-                    format!("core {core} local shootdown removed prod {p} vs oracle {o}")
-                })?;
-                for other in 0..MC_CORES {
-                    if other == core {
-                        continue;
-                    }
-                    self.queues[other].push_back(McIpi {
-                        seq: self.next_seq,
-                        asid,
-                        va,
-                    });
-                    self.next_seq += 1;
+            Op::ShootdownVa { .. }
+            | Op::DeliverIpi { .. }
+            | Op::FlushAsid { .. }
+            | Op::InvalidateRangeAsid { .. } => {
+                if let Some((core, scope)) = self.invalidation(op)? {
+                    let p = self.prod[core].invalidate(scope);
+                    let o = self.oracle[core].invalidate(scope);
+                    check_removed(p, o, scope).map_err(|e| format!("core {core} {e}"))?;
                 }
-            }
-            Op::DeliverIpi { core } => {
-                if let Some(ipi) = self.queues[core].pop_front() {
-                    check(ipi.seq > self.delivered_seq[core], || {
-                        format!(
-                            "core {core} delivered IPI seq {} after seq {}",
-                            ipi.seq, self.delivered_seq[core]
-                        )
-                    })?;
-                    self.delivered_seq[core] = ipi.seq;
-                    let addr = VirtAddr::new(ipi.va);
-                    let p = self.prod[core].invalidate_asid(ipi.asid, addr);
-                    let o = self.oracle[core].invalidate_asid(ipi.asid, addr);
-                    check(p == o, || {
-                        format!(
-                            "core {core} IPI (asid {}, va {:#x}) removed prod {p} vs oracle {o}",
-                            ipi.asid, ipi.va
-                        )
-                    })?;
-                }
-            }
-            Op::FlushAsid { core, asid } => {
-                let p = self.prod[core].flush_asid(asid);
-                let o = self.oracle[core].flush_asid(asid);
-                check(p == o, || {
-                    format!("core {core} flush_asid {asid} removed prod {p} vs oracle {o}")
-                })?;
-            }
-            Op::InvalidateRangeAsid {
-                core,
-                asid,
-                start,
-                len,
-            } => {
-                let r = VirtRange::new(VirtAddr::new(start), len);
-                let p = self.prod[core].invalidate_range_asid(asid, r);
-                let o = self.oracle[core].invalidate_range_asid(asid, r);
-                check(p == o, || {
-                    format!("core {core} ranged shootdown removed prod {p} vs oracle {o}")
-                })?;
             }
             other => panic!("op {other:?} not applicable to multicore"),
         }

@@ -5,14 +5,14 @@
 //! LRU-distance counters) has a small, obviously-correct reference model
 //! here that trades all cleverness for clarity:
 //!
-//! * [`OraclePageTlb`] — set-associative/fully-associative page TLB with
-//!   timestamp LRU: each entry remembers when it was last used; the LRU
-//!   victim is the oldest timestamp and an entry's reported rank is simply
-//!   the number of more recently used valid entries in its set.
-//! * [`OracleAsidTlb`] — the ASID-tagged set-associative TLB: timestamp
-//!   LRU plus a lane word per entry, visibility-filtered lookups, shadow
-//!   collapsing, and the ASID-targeted shootdown surface; the multi-core
-//!   fuzz target runs one per core behind a seq-numbered IPI queue.
+//! * [`OraclePageTlb`] — the ASID-tagged set-associative/fully-associative
+//!   page TLB with timestamp LRU: each entry remembers when it was last
+//!   used and carries a lane word; the LRU victim is the oldest timestamp,
+//!   an entry's reported rank is simply the number of more recently used
+//!   valid entries in its set, lookups filter by ASID visibility and
+//!   inserts collapse shadowing duplicates. The set-associative and fully
+//!   associative fuzz targets run it at ASID 0; the multi-core target runs
+//!   one per core behind a seq-numbered IPI queue.
 //! * [`OracleRangeTlb`] — a linear list of range translations with the same
 //!   timestamp LRU.
 //! * [`OracleColtTlb`] — the coalesced (CoLT) TLB as timestamp-LRU sets of
@@ -27,6 +27,12 @@
 //! * [`OracleLite`] — recomputes the Lite interval decision from the *full
 //!   log* of per-hit LRU ranks instead of the production controller's
 //!   compressed power-of-two counters.
+//!
+//! Each TLB model has one `invalidate(scope)` for every
+//! [`eeat_tlb::Invalidate`] scope, decided by one rule the models share
+//! and written apart from production's, so a bug in production's rule
+//! cannot pass the fuzz by being copied. The models count into
+//! [`eeat_tlb::TlbStats`], so stats are compared for equality.
 //!
 //! The [`fuzz`] module drives production and oracle side by side through
 //! deterministic, seed-addressable random operation sequences and
@@ -49,6 +55,6 @@ pub use fuzz::{
 };
 pub use lite::OracleLite;
 pub use model::{
-    OracleAsidTlb, OracleColtTlb, OracleMmuCaches, OracleNestedResult, OracleNestedWalker,
-    OraclePageTlb, OracleRangeTlb, OracleStats, OracleTagCache, OracleWalker,
+    OracleColtTlb, OracleMmuCaches, OracleNestedResult, OracleNestedWalker, OraclePageTlb,
+    OracleRangeTlb, OracleTagCache, OracleWalker,
 };

@@ -9,76 +9,81 @@
 
 use std::collections::HashMap;
 
-use eeat_tlb::{PageTranslation, TlbStats, COLT_GROUP};
-use eeat_types::{PageSize, Pfn, RangeTranslation, VirtAddr, VirtRange, Vpn};
+use eeat_tlb::{Invalidate, PageTranslation, TlbStats, ASID_GLOBAL, ASID_MASK, COLT_GROUP};
+use eeat_types::{PageSize, Pfn, RangeTranslation, VirtAddr, Vpn};
 
-/// Mirror of [`TlbStats`] with public fields, so tests can compare counter
-/// by counter and print a readable diff.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OracleStats {
-    /// Lookups that hit.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Insertions (including duplicate overwrites, as in production).
-    pub fills: u64,
-    /// Entries dropped by flushes, downsizing, or targeted invalidation
-    /// (evictions do **not** count, matching production).
-    pub invalidations: u64,
-}
-
-impl OracleStats {
-    /// `true` when every counter matches the production stats.
-    pub fn matches(&self, s: &TlbStats) -> bool {
-        self.hits == s.hits()
-            && self.misses == s.misses()
-            && self.fills == s.fills()
-            && self.invalidations == s.invalidations()
-    }
-
-    /// Human-readable comparison against production stats.
-    pub fn diff(&self, s: &TlbStats) -> String {
-        format!(
-            "oracle h/m/f/i {}/{}/{}/{} vs production {}/{}/{}/{}",
-            self.hits,
-            self.misses,
-            self.fills,
-            self.invalidations,
-            s.hits(),
-            s.misses(),
-            s.fills(),
-            s.invalidations()
-        )
+/// The oracle's own reading of an invalidation scope, shared by every model
+/// and written apart from production's: does `scope` remove an entry tagged
+/// `lane` that translates the `len` bytes from `start`? Intervals are
+/// compared in `u128`, where the topmost page's end (2^64) needs no care.
+fn scope_removes(scope: Invalidate, lane: u16, start: u64, len: u64) -> bool {
+    let owned_by = |asid: u16| lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid;
+    let entry = u128::from(start)..u128::from(start) + u128::from(len);
+    match scope {
+        Invalidate::Page { va, asid } => {
+            asid.is_none_or(owned_by) && entry.contains(&u128::from(va.raw()))
+        }
+        Invalidate::Range { range, asid } => {
+            let shot = u128::from(range.start().raw())
+                ..u128::from(range.start().raw()) + u128::from(range.len());
+            asid.is_none_or(owned_by)
+                && !shot.is_empty()
+                && !entry.is_empty()
+                && shot.start < entry.end
+                && entry.start < shot.end
+        }
+        Invalidate::Asid(asid) => owned_by(asid),
+        Invalidate::All => true,
     }
 }
 
-/// One cached translation plus the tick at which it was last used.
+/// One cached translation with its ASID lane word and last-used tick.
 #[derive(Clone, Copy, Debug)]
 struct TimedEntry {
     translation: PageTranslation,
+    lane: u16,
     last_used: u64,
 }
 
-/// Timestamp-LRU reference model of [`eeat_tlb::SetAssocTlb`] (and, with
-/// one set, of [`eeat_tlb::FullyAssocTlb`]).
+/// `true` when an entry tagged `lane` is visible to a lookup under ASID
+/// `current`: the lane's ASID matches, or the entry is global.
+fn lane_visible(lane: u16, current: u16) -> bool {
+    lane & ASID_GLOBAL != 0 || lane & ASID_MASK == current
+}
+
+/// `true` when two stored lanes can shadow each other for some lookup:
+/// either is global, or both carry the same ASID.
+fn lanes_overlap(a: u16, b: u16) -> bool {
+    a & ASID_GLOBAL != 0 || b & ASID_GLOBAL != 0 || a & ASID_MASK == b & ASID_MASK
+}
+
+/// Timestamp-LRU reference model of the ASID-tagged
+/// [`eeat_tlb::SetAssocTlb`] (and, with one set, of
+/// [`eeat_tlb::FullyAssocTlb`]).
 ///
-/// Each set is an unordered list of valid entries; the reported LRU rank of
-/// an entry is the count of same-set entries used more recently, and the
-/// eviction victim is the oldest entry. This matches the production rank
-/// permutation because production keeps its valid entries packed into the
-/// lowest ranks of every set.
+/// Each set is an unordered list of valid entries, each with its ASID lane
+/// word; the reported LRU rank of an entry is the count of same-set entries
+/// used more recently, and the eviction victim is the oldest entry. This
+/// matches the production rank permutation because production keeps its
+/// valid entries packed into the lowest ranks of every set. Lookups filter
+/// by ASID visibility and inserts collapse shadowing duplicates.
+///
+/// LRU ranks remain ASID-agnostic, like production: recency is a property
+/// of the physical slot, not of the address space that filled it.
 #[derive(Clone, Debug)]
 pub struct OraclePageTlb {
     sets: Vec<Vec<TimedEntry>>,
     ways: usize,
     active_ways: usize,
+    current_asid: u16,
     tick: u64,
     /// Event counters, mirroring the production structure's stats.
-    pub stats: OracleStats,
+    pub stats: TlbStats,
 }
 
 impl OraclePageTlb {
-    /// Creates a model with `entries` slots and `ways` associativity.
+    /// Creates a model with `entries` slots and `ways` associativity,
+    /// running under ASID 0.
     ///
     /// Shares the production rank-width bound: at most
     /// [`eeat_tlb::MAX_WAYS`] ways, so the fuzzer can never build a
@@ -90,253 +95,15 @@ impl OraclePageTlb {
             sets: vec![Vec::new(); entries / ways],
             ways,
             active_ways: ways,
-            tick: 0,
-            stats: OracleStats::default(),
-        }
-    }
-
-    fn set_index(&self, va: VirtAddr, size: PageSize) -> usize {
-        ((va.raw() >> size.shift()) as usize) & (self.sets.len() - 1)
-    }
-
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Looks up `va` as a page of `size`; hits report `(translation, rank)`
-    /// and are promoted to most recently used.
-    pub fn lookup_for_size(
-        &mut self,
-        va: VirtAddr,
-        size: PageSize,
-    ) -> Option<(PageTranslation, u8)> {
-        let s = self.set_index(va, size);
-        let tick = self.next_tick();
-        let set = &mut self.sets[s];
-        let hit = set
-            .iter_mut()
-            .find(|e| e.translation.size() == size && e.translation.covers(va))
-            .map(|e| {
-                let old = e.last_used;
-                e.last_used = tick;
-                (e.translation, old)
-            });
-        match hit {
-            Some((t, old)) => {
-                // Rank before promotion: entries newer than the hit's old
-                // timestamp, minus itself (now carrying the fresh tick).
-                let rank = set
-                    .iter()
-                    .filter(|e| e.last_used > old && e.last_used != tick)
-                    .count() as u8;
-                self.stats.hits += 1;
-                Some((t, rank))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Size-agnostic lookup; only valid for a single-set (fully
-    /// associative) model, like production.
-    pub fn lookup_any_size(&mut self, va: VirtAddr) -> Option<(PageTranslation, u8)> {
-        assert_eq!(self.sets.len(), 1, "size-agnostic lookup needs one set");
-        let tick = self.next_tick();
-        let set = &mut self.sets[0];
-        let hit = set.iter_mut().find(|e| e.translation.covers(va)).map(|e| {
-            let old = e.last_used;
-            e.last_used = tick;
-            (e.translation, old)
-        });
-        match hit {
-            Some((t, old)) => {
-                let rank = set
-                    .iter()
-                    .filter(|e| e.last_used > old && e.last_used != tick)
-                    .count() as u8;
-                self.stats.hits += 1;
-                Some((t, rank))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Probes for a matching entry without touching LRU state or counters.
-    pub fn probe(&self, va: VirtAddr, size: PageSize) -> Option<PageTranslation> {
-        let s = self.set_index(va, size);
-        self.sets[s]
-            .iter()
-            .map(|e| e.translation)
-            .find(|t| t.size() == size && t.covers(va))
-    }
-
-    /// Inserts `translation`: overwrites a duplicate, else fills a free
-    /// active slot, else evicts the oldest entry of the set.
-    pub fn insert(&mut self, translation: PageTranslation) {
-        let va = translation.vpn().base_addr();
-        let s = self.set_index(va, translation.size());
-        let tick = self.next_tick();
-        let active = self.active_ways;
-        let set = &mut self.sets[s];
-        if let Some(e) = set.iter_mut().find(|e| {
-            e.translation.size() == translation.size() && e.translation.vpn() == translation.vpn()
-        }) {
-            e.translation = translation;
-            e.last_used = tick;
-        } else {
-            if set.len() >= active {
-                // Evict the least recently used entry.
-                let oldest = set
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(i, _)| i)
-                    .expect("set is non-empty when full");
-                set.swap_remove(oldest);
-            }
-            set.push(TimedEntry {
-                translation,
-                last_used: tick,
-            });
-        }
-        self.stats.fills += 1;
-    }
-
-    /// Resizes to `ways` active ways; downsizing keeps the most recently
-    /// used `ways` entries of each set and counts the rest as invalidated.
-    pub fn set_active_ways(&mut self, ways: usize) {
-        assert!(ways >= 1 && ways <= self.ways);
-        if ways < self.active_ways {
-            let mut dropped = 0u64;
-            for set in &mut self.sets {
-                while set.len() > ways {
-                    let oldest = set
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(i, _)| i)
-                        .expect("non-empty");
-                    set.swap_remove(oldest);
-                    dropped += 1;
-                }
-            }
-            self.stats.invalidations += dropped;
-        }
-        self.active_ways = ways;
-    }
-
-    /// Removes every entry covering `va`, any size. Returns the count.
-    pub fn invalidate(&mut self, va: VirtAddr) -> u64 {
-        self.remove_matching(|t| t.covers(va))
-    }
-
-    /// Removes every entry overlapping `range`. Returns the count.
-    pub fn invalidate_range(&mut self, range: VirtRange) -> u64 {
-        self.remove_matching(|t| {
-            VirtRange::new(t.vpn().base_addr(), t.size().bytes()).overlaps(range)
-        })
-    }
-
-    fn remove_matching(&mut self, pred: impl Fn(&PageTranslation) -> bool) -> u64 {
-        let mut removed = 0u64;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|e| !pred(&e.translation));
-            removed += (before - set.len()) as u64;
-        }
-        self.stats.invalidations += removed;
-        removed
-    }
-
-    /// Empties the model, counting every valid entry as invalidated.
-    pub fn flush(&mut self) {
-        let valid: u64 = self.sets.iter().map(|s| s.len() as u64).sum();
-        self.stats.invalidations += valid;
-        for set in &mut self.sets {
-            set.clear();
-        }
-    }
-
-    /// Valid entries currently held.
-    pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-}
-
-/// One cached translation with its ASID lane word and last-used tick.
-#[derive(Clone, Copy, Debug)]
-struct TimedAsidEntry {
-    translation: PageTranslation,
-    lane: u16,
-    last_used: u64,
-}
-
-/// `true` when an entry tagged `lane` is visible to a lookup under ASID
-/// `current`: the lane's ASID matches, or the entry is global.
-fn lane_visible(lane: u16, current: u16) -> bool {
-    lane & eeat_tlb::ASID_GLOBAL != 0 || lane & eeat_tlb::ASID_MASK == current
-}
-
-/// `true` when two stored lanes can shadow each other for some lookup:
-/// either is global, or both carry the same ASID.
-fn lanes_overlap(a: u16, b: u16) -> bool {
-    a & eeat_tlb::ASID_GLOBAL != 0
-        || b & eeat_tlb::ASID_GLOBAL != 0
-        || a & eeat_tlb::ASID_MASK == b & eeat_tlb::ASID_MASK
-}
-
-/// `true` when the page of `t` overlaps `range`, with inclusive last-address
-/// arithmetic so the topmost page of the address space does not overflow.
-fn page_in_range(t: &PageTranslation, range: VirtRange) -> bool {
-    let base = t.vpn().base_addr().raw();
-    let last = base.saturating_add(t.size().bytes() - 1);
-    !range.is_empty() && base < range.end().raw() && last >= range.start().raw()
-}
-
-/// Timestamp-LRU reference model of the ASID-tagged
-/// [`eeat_tlb::SetAssocTlb`] — [`OraclePageTlb`] plus a lane word per
-/// entry, visibility filtering on lookups, shadow collapsing on inserts,
-/// and the ASID-targeted shootdown surface (`invalidate_asid`,
-/// `invalidate_range_asid`, `flush_asid`).
-///
-/// LRU ranks remain ASID-agnostic, like production: recency is a property
-/// of the physical slot, not of the address space that filled it.
-#[derive(Clone, Debug)]
-pub struct OracleAsidTlb {
-    sets: Vec<Vec<TimedAsidEntry>>,
-    ways: usize,
-    active_ways: usize,
-    current_asid: u16,
-    tick: u64,
-    /// Event counters, mirroring the production structure's stats.
-    pub stats: OracleStats,
-}
-
-impl OracleAsidTlb {
-    /// Creates a model with `entries` slots and `ways` associativity,
-    /// running under ASID 0.
-    pub fn new(entries: usize, ways: usize) -> Self {
-        assert!(ways > 0 && entries.is_multiple_of(ways));
-        assert!(ways <= eeat_tlb::MAX_WAYS, "oracle mirrors MAX_WAYS");
-        Self {
-            sets: vec![Vec::new(); entries / ways],
-            ways,
-            active_ways: ways,
             current_asid: 0,
             tick: 0,
-            stats: OracleStats::default(),
+            stats: TlbStats::new(),
         }
     }
 
     /// Sets the ASID subsequent lookups and fills run under.
     pub fn set_current_asid(&mut self, asid: u16) {
-        assert!(asid <= eeat_tlb::ASID_MASK, "ASID exceeds the lane width");
+        assert!(asid <= ASID_MASK, "ASID exceeds the lane width");
         self.current_asid = asid;
     }
 
@@ -362,16 +129,30 @@ impl OracleAsidTlb {
         size: PageSize,
     ) -> Option<(PageTranslation, u8)> {
         let s = self.set_index(va, size);
+        self.lookup_in(s, |t| t.size() == size && t.covers(va))
+    }
+
+    /// Size-agnostic lookup; only valid for a single-set (fully
+    /// associative) model, like production.
+    pub fn lookup_any_size(&mut self, va: VirtAddr) -> Option<(PageTranslation, u8)> {
+        assert_eq!(self.sets.len(), 1, "size-agnostic lookup needs one set");
+        self.lookup_in(0, |t| t.covers(va))
+    }
+
+    /// Looks up the first entry of set `s` that the current ASID sees and
+    /// `matches` accepts; a hit reports its pre-promotion rank and is
+    /// promoted.
+    fn lookup_in(
+        &mut self,
+        s: usize,
+        matches: impl Fn(&PageTranslation) -> bool,
+    ) -> Option<(PageTranslation, u8)> {
         let cur = self.current_asid;
         let tick = self.next_tick();
         let set = &mut self.sets[s];
         let hit = set
             .iter_mut()
-            .find(|e| {
-                e.translation.size() == size
-                    && e.translation.covers(va)
-                    && lane_visible(e.lane, cur)
-            })
+            .find(|e| matches(&e.translation) && lane_visible(e.lane, cur))
             .map(|e| {
                 let old = e.last_used;
                 e.last_used = tick;
@@ -379,15 +160,17 @@ impl OracleAsidTlb {
             });
         match hit {
             Some((t, old)) => {
+                // Rank before promotion: entries newer than the hit's old
+                // timestamp, minus itself (now carrying the fresh tick).
                 let rank = set
                     .iter()
                     .filter(|e| e.last_used > old && e.last_used != tick)
                     .count() as u8;
-                self.stats.hits += 1;
+                self.stats.record_hit();
                 Some((t, rank))
             }
             None => {
-                self.stats.misses += 1;
+                self.stats.record_miss();
                 None
             }
         }
@@ -415,7 +198,7 @@ impl OracleAsidTlb {
     /// Inserts `translation` with the global bit set: visible to every
     /// ASID, shadowing every same-page entry.
     pub fn insert_global(&mut self, translation: PageTranslation) {
-        self.insert_lane(translation, self.current_asid | eeat_tlb::ASID_GLOBAL);
+        self.insert_lane(translation, self.current_asid | ASID_GLOBAL);
     }
 
     /// Shared insert path: collapse every shadowing duplicate — same page,
@@ -447,7 +230,7 @@ impl OracleAsidTlb {
             e.last_used = tick;
             true
         });
-        self.stats.invalidations += shadowed;
+        self.stats.record_invalidations(shadowed);
         if !kept {
             if set.len() >= active {
                 let oldest = set
@@ -458,13 +241,13 @@ impl OracleAsidTlb {
                     .expect("set is non-empty when full");
                 set.swap_remove(oldest);
             }
-            set.push(TimedAsidEntry {
+            set.push(TimedEntry {
                 translation,
                 lane,
                 last_used: tick,
             });
         }
-        self.stats.fills += 1;
+        self.stats.record_fill();
     }
 
     /// Resizes to `ways` active ways; downsizing keeps each set's most
@@ -486,68 +269,25 @@ impl OracleAsidTlb {
                     dropped += 1;
                 }
             }
-            self.stats.invalidations += dropped;
+            self.stats.record_invalidations(dropped);
         }
         self.active_ways = ways;
     }
 
-    /// Removes every entry covering `va`, any size or ASID (including
-    /// globals). Returns the count.
-    pub fn invalidate(&mut self, va: VirtAddr) -> u64 {
-        self.remove_matching(|t, _| t.covers(va))
-    }
-
-    /// Removes every entry overlapping `range`, any ASID. Returns the
+    /// Removes the entries `scope` selects, of any page size. Returns the
     /// count.
-    pub fn invalidate_range(&mut self, range: VirtRange) -> u64 {
-        self.remove_matching(|t, _| page_in_range(t, range))
-    }
-
-    /// The ASID-targeted shootdown: removes `asid`'s non-global entries
-    /// covering `va`. Returns the count.
-    pub fn invalidate_asid(&mut self, asid: u16, va: VirtAddr) -> u64 {
-        self.remove_matching(|t, lane| {
-            lane & eeat_tlb::ASID_GLOBAL == 0 && lane & eeat_tlb::ASID_MASK == asid && t.covers(va)
-        })
-    }
-
-    /// The ASID-targeted multi-page shootdown: removes `asid`'s non-global
-    /// entries overlapping `range`. Returns the count.
-    pub fn invalidate_range_asid(&mut self, asid: u16, range: VirtRange) -> u64 {
-        self.remove_matching(|t, lane| {
-            lane & eeat_tlb::ASID_GLOBAL == 0
-                && lane & eeat_tlb::ASID_MASK == asid
-                && page_in_range(t, range)
-        })
-    }
-
-    /// Removes every non-global entry of `asid` (ASID recycling); globals
-    /// survive. Returns the count.
-    pub fn flush_asid(&mut self, asid: u16) -> u64 {
-        self.remove_matching(|_, lane| {
-            lane & eeat_tlb::ASID_GLOBAL == 0 && lane & eeat_tlb::ASID_MASK == asid
-        })
-    }
-
-    fn remove_matching(&mut self, pred: impl Fn(&PageTranslation, u16) -> bool) -> u64 {
+    pub fn invalidate(&mut self, scope: Invalidate) -> u64 {
         let mut removed = 0u64;
         for set in &mut self.sets {
             let before = set.len();
-            set.retain(|e| !pred(&e.translation, e.lane));
+            set.retain(|e| {
+                let t = e.translation;
+                !scope_removes(scope, e.lane, t.vpn().base_addr().raw(), t.size().bytes())
+            });
             removed += (before - set.len()) as u64;
         }
-        self.stats.invalidations += removed;
+        self.stats.record_invalidations(removed);
         removed
-    }
-
-    /// Empties the model — globals included — counting every entry as
-    /// invalidated.
-    pub fn flush(&mut self) {
-        let valid: u64 = self.sets.iter().map(|s| s.len() as u64).sum();
-        self.stats.invalidations += valid;
-        for set in &mut self.sets {
-            set.clear();
-        }
     }
 
     /// Valid entries currently held, across all ASIDs.
@@ -564,13 +304,16 @@ struct TimedRange {
 }
 
 /// Timestamp-LRU reference model of [`eeat_tlb::RangeTlb`].
+///
+/// Every entry belongs to ASID 0 and none is global, as in the fuzz
+/// target that drives it.
 #[derive(Clone, Debug)]
 pub struct OracleRangeTlb {
     entries: Vec<TimedRange>,
     capacity: usize,
     tick: u64,
     /// Event counters, mirroring the production structure's stats.
-    pub stats: OracleStats,
+    pub stats: TlbStats,
 }
 
 impl OracleRangeTlb {
@@ -585,7 +328,7 @@ impl OracleRangeTlb {
             entries: Vec::new(),
             capacity,
             tick: 0,
-            stats: OracleStats::default(),
+            stats: TlbStats::new(),
         }
     }
 
@@ -604,11 +347,11 @@ impl OracleRangeTlb {
         {
             Some(e) => {
                 e.last_used = tick;
-                self.stats.hits += 1;
+                self.stats.record_hit();
                 Some(e.translation)
             }
             None => {
-                self.stats.misses += 1;
+                self.stats.record_miss();
                 None
             }
         }
@@ -649,31 +392,19 @@ impl OracleRangeTlb {
                 last_used: tick,
             });
         }
-        self.stats.fills += 1;
+        self.stats.record_fill();
     }
 
-    /// Removes every range containing `va`. Returns the count.
-    pub fn invalidate(&mut self, va: VirtAddr) -> u64 {
-        self.remove_matching(|t| t.virt().contains(va))
-    }
-
-    /// Removes every range overlapping `range`. Returns the count.
-    pub fn invalidate_range(&mut self, range: VirtRange) -> u64 {
-        self.remove_matching(|t| t.virt().overlaps(range))
-    }
-
-    fn remove_matching(&mut self, pred: impl Fn(&RangeTranslation) -> bool) -> u64 {
+    /// Removes the ranges `scope` selects. Returns the count.
+    pub fn invalidate(&mut self, scope: Invalidate) -> u64 {
         let before = self.entries.len();
-        self.entries.retain(|e| !pred(&e.translation));
+        self.entries.retain(|e| {
+            let virt = e.translation.virt();
+            !scope_removes(scope, 0, virt.start().raw(), virt.len())
+        });
         let removed = (before - self.entries.len()) as u64;
-        self.stats.invalidations += removed;
+        self.stats.record_invalidations(removed);
         removed
-    }
-
-    /// Empties the model, counting every entry as invalidated.
-    pub fn flush(&mut self) {
-        self.stats.invalidations += self.entries.len() as u64;
-        self.entries.clear();
     }
 
     /// Valid entries currently held.
@@ -722,14 +453,16 @@ struct TimedGroup {
 ///
 /// Each set is an unordered list of `(group, base_pfn, mask)` entries with
 /// a last-used timestamp; ranks, victims, and survivor sets are recomputed
-/// from the timestamps on demand, exactly like [`OraclePageTlb`].
+/// from the timestamps on demand, exactly like [`OraclePageTlb`]. Every
+/// entry belongs to ASID 0 and none is global, as in the fuzz target that
+/// drives it.
 #[derive(Clone, Debug)]
 pub struct OracleColtTlb {
     sets: Vec<Vec<TimedGroup>>,
     ways: usize,
     tick: u64,
     /// Event counters, mirroring the production structure's stats.
-    pub stats: OracleStats,
+    pub stats: TlbStats,
 }
 
 impl OracleColtTlb {
@@ -741,7 +474,7 @@ impl OracleColtTlb {
             sets: vec![Vec::new(); entries / ways],
             ways,
             tick: 0,
-            stats: OracleStats::default(),
+            stats: TlbStats::new(),
         }
     }
 
@@ -782,14 +515,14 @@ impl OracleColtTlb {
                     .iter()
                     .filter(|e| e.last_used > old && e.last_used != tick)
                     .count() as u8;
-                self.stats.hits += 1;
+                self.stats.record_hit();
                 Some((
                     PageTranslation::new(va.vpn(), Pfn::new(base_pfn + offset), PageSize::Size4K),
                     rank,
                 ))
             }
             None => {
-                self.stats.misses += 1;
+                self.stats.record_miss();
                 None
             }
         }
@@ -849,39 +582,19 @@ impl OracleColtTlb {
                 last_used: tick,
             });
         }
-        self.stats.fills += 1;
+        self.stats.record_fill();
     }
 
-    /// Clears the presence bit covering `va`; an entry losing its last bit
-    /// is removed. Returns entries removed or shrunk.
-    pub fn invalidate(&mut self, va: VirtAddr) -> u64 {
-        let (group, offset) = Self::group_of(va);
-        let bit = 1u8 << offset;
-        self.rewrite_masks(|g, m| if g == group { m & !bit } else { m })
-    }
-
-    /// Clears coverage overlapping `range`. Returns entries removed or
-    /// shrunk.
-    pub fn invalidate_range(&mut self, range: VirtRange) -> u64 {
-        self.rewrite_masks(|group, mask| {
-            let mut keep = mask;
-            for i in 0..COLT_GROUP as u64 {
-                if mask & (1 << i) != 0 {
-                    let page = VirtRange::new(Vpn::new(group + i).base_addr(), 4096);
-                    if page.overlaps(range) {
-                        keep &= !(1 << i);
-                    }
-                }
-            }
-            keep
-        })
-    }
-
-    fn rewrite_masks(&mut self, mut keep: impl FnMut(u64, u8) -> u8) -> u64 {
+    /// Clears the presence bit of every page `scope` selects; an entry
+    /// losing its last bit is removed. Returns entries removed or shrunk.
+    pub fn invalidate(&mut self, scope: Invalidate) -> u64 {
         let mut touched = 0u64;
         for set in &mut self.sets {
             set.retain_mut(|e| {
-                let kept = keep(e.group, e.mask);
+                let kept = (0..COLT_GROUP as u64)
+                    .filter(|&i| e.mask & (1 << i) != 0)
+                    .filter(|&i| !scope_removes(scope, 0, (e.group + i) << 12, 4096))
+                    .fold(0u8, |m, i| m | 1 << i);
                 if kept != e.mask {
                     touched += 1;
                     e.mask = kept;
@@ -889,17 +602,8 @@ impl OracleColtTlb {
                 e.mask != 0
             });
         }
-        self.stats.invalidations += touched;
+        self.stats.record_invalidations(touched);
         touched
-    }
-
-    /// Empties the model, counting every valid entry as invalidated.
-    pub fn flush(&mut self) {
-        let valid: u64 = self.sets.iter().map(|s| s.len() as u64).sum();
-        self.stats.invalidations += valid;
-        for set in &mut self.sets {
-            set.clear();
-        }
     }
 
     /// Valid entries currently held.
@@ -964,7 +668,7 @@ pub struct OracleTagCache {
     ways: usize,
     tick: u64,
     /// Event counters, mirroring the production cache's stats.
-    pub stats: OracleStats,
+    pub stats: TlbStats,
 }
 
 impl OracleTagCache {
@@ -975,7 +679,7 @@ impl OracleTagCache {
             sets: vec![Vec::new(); entries / ways],
             ways,
             tick: 0,
-            stats: OracleStats::default(),
+            stats: TlbStats::new(),
         }
     }
 
@@ -991,11 +695,11 @@ impl OracleTagCache {
         match self.sets[s].iter_mut().find(|e| e.tag == tag) {
             Some(e) => {
                 e.last_used = tick;
-                self.stats.hits += 1;
+                self.stats.record_hit();
                 true
             }
             None => {
-                self.stats.misses += 1;
+                self.stats.record_miss();
                 false
             }
         }
@@ -1025,7 +729,7 @@ impl OracleTagCache {
                 last_used: tick,
             });
         }
-        self.stats.fills += 1;
+        self.stats.record_fill();
     }
 
     /// Removes `tag` if present. Returns whether it was.
@@ -1035,7 +739,7 @@ impl OracleTagCache {
         let before = set.len();
         set.retain(|e| e.tag != tag);
         if set.len() < before {
-            self.stats.invalidations += 1;
+            self.stats.record_invalidations(1);
             true
         } else {
             false
@@ -1045,7 +749,7 @@ impl OracleTagCache {
     /// Empties the model, counting every tag as invalidated.
     pub fn flush(&mut self) {
         let valid: u64 = self.sets.iter().map(|s| s.len() as u64).sum();
-        self.stats.invalidations += valid;
+        self.stats.record_invalidations(valid);
         for set in &mut self.sets {
             set.clear();
         }
@@ -1412,12 +1116,12 @@ mod tests {
         assert_eq!(o.occupancy(), 2);
         assert!(o.probe(Vpn::new(2).base_addr(), PageSize::Size4K).is_some());
         assert!(o.probe(Vpn::new(3).base_addr(), PageSize::Size4K).is_some());
-        assert_eq!(o.stats.invalidations, 2);
+        assert_eq!(o.stats.invalidations(), 2);
     }
 
     #[test]
     fn range_model_basics() {
-        use eeat_types::PhysAddr;
+        use eeat_types::{PhysAddr, VirtRange};
         let mut o = OracleRangeTlb::new(2);
         let rt = |mb: u64| {
             RangeTranslation::new(
@@ -1431,7 +1135,11 @@ mod tests {
         o.insert(rt(20)); // evicts the 10 MB range (oldest)
         assert!(o.probe(VirtAddr::new(0)).is_some());
         assert!(o.probe(VirtAddr::new(10 << 20)).is_none());
-        assert_eq!(o.invalidate(VirtAddr::new(5)), 1);
+        let page = |va| Invalidate::Page {
+            va: VirtAddr::new(va),
+            asid: None,
+        };
+        assert_eq!(o.invalidate(page(5)), 1);
         assert_eq!(o.occupancy(), 1);
     }
 
@@ -1454,14 +1162,18 @@ mod tests {
         let (t, _) = o.lookup(VirtAddr::new(8 * 4096)).unwrap();
         assert_eq!(t.pfn().raw(), 500);
         // Bit-level shootdown removes the last page and the entry.
-        assert_eq!(o.invalidate(VirtAddr::new(8 * 4096)), 1);
+        let page = Invalidate::Page {
+            va: VirtAddr::new(8 * 4096),
+            asid: None,
+        };
+        assert_eq!(o.invalidate(page), 1);
         assert_eq!(o.occupancy(), 0);
         o.assert_invariants();
     }
 
     #[test]
     fn range_overlap_invariant_catches_disagreement() {
-        use eeat_types::PhysAddr;
+        use eeat_types::{PhysAddr, VirtRange};
         let mut o = OracleRangeTlb::new(4);
         // Two overlapping ranges that agree on the shared span pass.
         o.insert(RangeTranslation::new(

@@ -3,9 +3,10 @@
 
 use core::fmt;
 
-use eeat_types::{PageSize, Pfn, VirtAddr, VirtRange, Vpn};
+use eeat_types::{PageSize, Pfn, VirtAddr, Vpn};
 
 use crate::entry::{Hit, PageTranslation};
+use crate::invalidate::Invalidate;
 use crate::set_assoc::{asid_overlaps, asid_visible, ASID_GLOBAL, ASID_MASK};
 use crate::stats::TlbStats;
 
@@ -336,113 +337,53 @@ impl CoalescedTlb {
         self.recency[slot] = 0;
     }
 
-    /// The per-page TLB shootdown (`invlpg`): clears the presence bit
-    /// covering `va`; an entry whose last bit goes invalidates entirely.
-    /// Returns the number of entries removed or shrunk (counted as
-    /// invalidations in the stats).
-    pub fn invalidate(&mut self, va: VirtAddr) -> u64 {
-        let vpn = va.vpn();
-        let group = Self::group_base(vpn);
-        let bit = 1u8 << (vpn.raw() - group);
-        self.invalidate_matching(|g, mask, _| if g == group { mask & !bit } else { mask })
-    }
-
-    /// Invalidates coverage overlapping `range` (multi-page shootdown),
-    /// regardless of ASID. Returns the number of entries removed or shrunk.
-    pub fn invalidate_range(&mut self, range: VirtRange) -> u64 {
-        self.invalidate_matching(|group, mask, _| Self::mask_outside(group, mask, range))
-    }
-
-    /// Invalidates coverage of `va` held by non-global entries of `asid`
-    /// (the targeted shootdown an IPI delivers). Returns the number of
-    /// entries removed or shrunk.
-    pub fn invalidate_asid(&mut self, asid: u16, va: VirtAddr) -> u64 {
-        let vpn = va.vpn();
-        let group = Self::group_base(vpn);
-        let bit = 1u8 << (vpn.raw() - group);
-        self.invalidate_matching(|g, mask, lane| {
-            if g == group && lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid {
-                mask & !bit
-            } else {
-                mask
-            }
-        })
-    }
-
-    /// Invalidates coverage overlapping `range` held by non-global entries
-    /// of `asid`. Returns the number of entries removed or shrunk.
-    pub fn invalidate_range_asid(&mut self, asid: u16, range: VirtRange) -> u64 {
-        self.invalidate_matching(|group, mask, lane| {
-            if lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid {
-                Self::mask_outside(group, mask, range)
-            } else {
-                mask
-            }
-        })
-    }
-
-    /// Invalidates every non-global entry of `asid`; globals survive.
-    /// Returns the number removed.
-    pub fn flush_asid(&mut self, asid: u16) -> u64 {
-        self.invalidate_matching(|_, mask, lane| {
-            if lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid {
-                0
-            } else {
-                mask
-            }
-        })
-    }
-
-    /// The bits of `mask` whose pages fall entirely outside `range`.
-    fn mask_outside(group: u64, mask: u8, range: VirtRange) -> u8 {
-        let mut keep = mask;
-        for i in 0..COLT_GROUP as u64 {
-            if mask & (1 << i) != 0
-                && crate::set_assoc::page_overlaps(
-                    Vpn::new(group + i).base_addr().raw(),
-                    4096,
-                    range,
-                )
-            {
-                keep &= !(1 << i);
-            }
+    /// Removes the coverage `scope` selects and returns how many entries
+    /// went or shrank (counted as invalidations in the stats). Each page
+    /// of an entry is judged on its own: a page scope clears the presence
+    /// bit of the page containing the address, a range scope every bit
+    /// whose page overlaps the range. An entry whose mask empties is
+    /// removed, its slot dropping to the set's LRU end so the ranks stay a
+    /// permutation; [`Invalidate::All`] resets them.
+    pub fn invalidate(&mut self, scope: Invalidate) -> u64 {
+        if matches!(scope, Invalidate::All) {
+            return self.flush();
         }
-        keep
-    }
-
-    /// Rewrites each valid entry's mask through `keep(group, mask, lane)`;
-    /// an entry whose mask shrinks counts as one invalidation, and an entry
-    /// whose mask empties is removed (slot demoted to the LRU end).
-    fn invalidate_matching(&mut self, mut keep: impl FnMut(u64, u8, u16) -> u8) -> u64 {
         let mut removed = 0u64;
         for set in 0..self.sets {
             let base = set * self.ways;
             for way in 0..self.ways {
                 let slot = base + way;
-                let tag = self.tags[slot];
-                if tag == INVALID_TAG {
+                let group = self.tags[slot];
+                if group == INVALID_TAG || !scope.reaches(self.asids[slot]) {
                     continue;
                 }
                 let mask = self.masks[slot];
-                let kept = keep(tag, mask, self.asids[slot]);
+                let mut kept = mask;
+                for i in 0..COLT_GROUP as u64 {
+                    let start = Vpn::new(group + i).base_addr().raw();
+                    if mask & (1 << i) != 0 && scope.spans(start, 4096) {
+                        kept &= !(1 << i);
+                    }
+                }
                 if kept == mask {
                     continue;
                 }
                 removed += 1;
                 if kept != 0 {
                     self.masks[slot] = kept;
-                    continue;
+                } else {
+                    self.clear_slot(base, slot);
                 }
-                self.clear_slot(base, slot);
             }
         }
         self.stats.record_invalidations(removed);
         removed
     }
 
-    /// Invalidates every entry.
-    pub fn flush(&mut self) {
-        self.stats.record_invalidations(u64::from(self.valid));
+    /// Empties every slot, globals included, and returns the count.
+    fn flush(&mut self) -> u64 {
+        let removed = u64::from(self.valid);
+        self.stats.record_invalidations(removed);
         for (i, tag) in self.tags.iter_mut().enumerate() {
             *tag = INVALID_TAG;
             self.recency[i] = (i % self.ways) as u8;
@@ -450,6 +391,7 @@ impl CoalescedTlb {
         self.masks.fill(0);
         self.asids.fill(0);
         self.valid = 0;
+        removed
     }
 
     /// Number of valid entries currently held (O(1): maintained
@@ -530,6 +472,7 @@ impl fmt::Display for CoalescedTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eeat_types::VirtRange;
 
     fn small() -> CoalescedTlb {
         CoalescedTlb::new("colt", 8, 2) // 4 sets x 2 ways
@@ -603,25 +546,25 @@ mod tests {
     fn invalidate_clears_one_bit_then_entry() {
         let mut t = small();
         t.insert_group(Vpn::new(8), Pfn::new(100), 0b0011);
-        assert_eq!(t.invalidate(VirtAddr::new(8 * 4096)), 1);
+        assert_eq!(t.invalidate(Invalidate::page(VirtAddr::new(8 * 4096))), 1);
         assert_eq!(t.occupancy(), 1, "one page still covered");
         assert!(t.lookup(VirtAddr::new(8 * 4096)).is_none());
         assert!(t.lookup(VirtAddr::new(9 * 4096)).is_some());
-        assert_eq!(t.invalidate(VirtAddr::new(9 * 4096)), 1);
+        assert_eq!(t.invalidate(Invalidate::page(VirtAddr::new(9 * 4096))), 1);
         assert_eq!(t.occupancy(), 0, "last bit removes the entry");
-        assert_eq!(t.invalidate(VirtAddr::new(9 * 4096)), 0);
+        assert_eq!(t.invalidate(Invalidate::page(VirtAddr::new(9 * 4096))), 0);
         t.assert_invariants();
     }
 
     #[test]
-    fn invalidate_range_handles_topmost_group() {
+    fn range_scope_handles_topmost_group() {
         // The COLT group containing the last page of the address space:
         // per-page overlap checks must not overflow past `u64::MAX`.
         let mut t = small();
         let top_group = ((1u64 << 52) - 1) & !(COLT_GROUP as u64 - 1);
         t.insert_group(Vpn::new(top_group), Pfn::new(64), 0xff);
         let shot = VirtRange::new(VirtAddr::new(u64::MAX - 4095), 4095);
-        assert_eq!(t.invalidate_range(shot), 1);
+        assert_eq!(t.invalidate(Invalidate::range(shot)), 1);
         // Only the topmost page's bit was trimmed; the rest survive.
         assert!(t.lookup(Vpn::new(top_group).base_addr()).is_some());
         assert!(t
@@ -631,11 +574,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_range_trims_overlap() {
+    fn range_scope_trims_overlap() {
         let mut t = small();
         t.insert_group(Vpn::new(0), Pfn::new(64), 0xff);
         // Shoot down pages 2..6.
-        let n = t.invalidate_range(VirtRange::new(VirtAddr::new(2 * 4096), 4 * 4096));
+        let n = t.invalidate(Invalidate::range(VirtRange::new(
+            VirtAddr::new(2 * 4096),
+            4 * 4096,
+        )));
         assert_eq!(n, 1);
         assert_eq!(t.coverage_pages(), 4);
         assert!(t.lookup(VirtAddr::new(4096)).is_some());
@@ -648,7 +594,7 @@ mod tests {
         let mut t = small();
         t.insert_group(Vpn::new(0), Pfn::new(64), 0xff);
         t.insert_group(Vpn::new(8), Pfn::new(80), 0x01);
-        t.flush();
+        assert_eq!(t.invalidate(Invalidate::All), 2);
         assert_eq!(t.occupancy(), 0);
         assert_eq!(t.coverage_pages(), 0);
         assert_eq!(t.stats().invalidations(), 2);
@@ -708,19 +654,26 @@ mod tests {
             t.lookup(VirtAddr::new(9 * 4096)).is_some(),
             "global visible"
         );
-        assert_eq!(t.flush_asid(1), 0, "global untouched by ASID flush");
+        assert_eq!(
+            t.invalidate(Invalidate::Asid(1)),
+            0,
+            "global untouched by ASID flush"
+        );
         assert!(t.probe(VirtAddr::new(8 * 4096)).is_some());
         t.assert_invariants();
     }
 
     #[test]
-    fn invalidate_asid_trims_only_that_asid() {
+    fn asid_page_scope_trims_only_that_asid() {
         let mut t = small();
         t.set_current_asid(1);
         t.insert_group(Vpn::new(8), Pfn::new(100), 0b0011);
         t.set_current_asid(2);
         t.insert_group(Vpn::new(8), Pfn::new(500), 0b0011);
-        assert_eq!(t.invalidate_asid(1, VirtAddr::new(8 * 4096)), 1);
+        assert_eq!(
+            t.invalidate(Invalidate::page_of(1, VirtAddr::new(8 * 4096))),
+            1
+        );
         assert!(
             t.lookup(VirtAddr::new(8 * 4096)).is_some(),
             "ASID 2 copy stays"
@@ -732,7 +685,7 @@ mod tests {
             "other bit stays"
         );
         let shot = VirtRange::new(VirtAddr::new(8 * 4096), 2 * 4096);
-        assert_eq!(t.invalidate_range_asid(2, shot), 1);
+        assert_eq!(t.invalidate(Invalidate::range_of(2, shot)), 1);
         assert!(
             t.lookup(VirtAddr::new(9 * 4096)).is_some(),
             "ASID 1 bit stays"

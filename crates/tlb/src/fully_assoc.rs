@@ -2,9 +2,10 @@
 
 use core::fmt;
 
-use eeat_types::{PageSize, VirtAddr, VirtRange};
+use eeat_types::{PageSize, VirtAddr};
 
 use crate::entry::{Hit, PageTranslation};
+use crate::invalidate::Invalidate;
 use crate::set_assoc::SetAssocTlb;
 use crate::stats::TlbStats;
 
@@ -135,39 +136,10 @@ impl FullyAssocTlb {
         self.inner.set_active_ways(entries);
     }
 
-    /// Invalidates every entry covering `va`, regardless of page size.
-    /// Returns the number of entries removed.
-    pub fn invalidate(&mut self, va: VirtAddr) -> u64 {
-        self.inner.invalidate(va)
-    }
-
-    /// Invalidates every entry whose page overlaps `range`. Returns the
-    /// number of entries removed.
-    pub fn invalidate_range(&mut self, range: VirtRange) -> u64 {
-        self.inner.invalidate_range(range)
-    }
-
-    /// Invalidates every non-global entry of `asid` covering `va` (the
-    /// targeted shootdown an IPI delivers). Returns the number removed.
-    pub fn invalidate_asid(&mut self, asid: u16, va: VirtAddr) -> u64 {
-        self.inner.invalidate_asid(asid, va)
-    }
-
-    /// Invalidates every non-global entry of `asid` whose page overlaps
-    /// `range`. Returns the number removed.
-    pub fn invalidate_range_asid(&mut self, asid: u16, range: VirtRange) -> u64 {
-        self.inner.invalidate_range_asid(asid, range)
-    }
-
-    /// Invalidates every non-global entry of `asid`; globals survive.
-    /// Returns the number removed.
-    pub fn flush_asid(&mut self, asid: u16) -> u64 {
-        self.inner.flush_asid(asid)
-    }
-
-    /// Invalidates every entry.
-    pub fn flush(&mut self) {
-        self.inner.flush();
+    /// Removes the entries `scope` selects, of any page size, and returns
+    /// how many went.
+    pub fn invalidate(&mut self, scope: Invalidate) -> u64 {
+        self.inner.invalidate(scope)
     }
 
     /// Number of valid entries currently held.
@@ -298,7 +270,7 @@ mod tests {
         for i in 0..4 {
             tlb.insert(t1g(i));
         }
-        assert_eq!(tlb.invalidate(va1g(2)), 1);
+        assert_eq!(tlb.invalidate(Invalidate::page(va1g(2))), 1);
         assert!(tlb.probe(va1g(2), PageSize::Size1G).is_none());
         for i in [0, 1, 3] {
             assert!(tlb.probe(va1g(i), PageSize::Size1G).is_some());
@@ -315,7 +287,7 @@ mod tests {
         tlb.set_current_asid(2);
         assert!(tlb.lookup(va1g(0)).is_none(), "ASID 1 entry hidden");
         assert!(tlb.lookup(va1g(1)).is_some(), "global entry visible");
-        assert_eq!(tlb.flush_asid(1), 1);
+        assert_eq!(tlb.invalidate(Invalidate::Asid(1)), 1);
         assert!(tlb.probe(va1g(1), PageSize::Size1G).is_some());
         tlb.set_current_asid(1);
         assert!(tlb.lookup(va1g(0)).is_none());

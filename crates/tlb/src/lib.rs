@@ -17,13 +17,18 @@
 //!   cover up to [`COLT_GROUP`] contiguous 4 KiB mappings via a presence
 //!   mask, trading a slightly wider entry for multiplied reach.
 //! * [`TlbStats`] — lookup/hit/miss/fill accounting shared by all of them.
+//! * [`Invalidate`] — the one shootdown/flush surface: every structure's
+//!   `invalidate(scope)` removes a page, a range, an ASID or everything,
+//!   and the [`TranslationCache`] trait lets a hierarchy walk its
+//!   structures as one list.
 //!
 //! All structures are deterministic and allocation-free on the lookup path.
 //!
 //! Every structure carries an [`ASID_BITS`]-bit ASID lane per entry plus a
 //! *global* bit ([`ASID_GLOBAL`]), so a multi-tenant simulation can switch
-//! address spaces with `set_current_asid` instead of flushing, and targeted
-//! shootdowns (`invalidate_asid`, `flush_asid`) spare unrelated tenants.
+//! address spaces with `set_current_asid` instead of flushing, and
+//! ASID-scoped invalidations (`Invalidate::Page { asid: Some(a), .. }`,
+//! `Invalidate::Asid(a)`) spare unrelated tenants and global entries.
 //! The default ASID is 0, making single-context use bit-identical to an
 //! untagged TLB.
 //!
@@ -49,6 +54,7 @@
 mod coalesced;
 mod entry;
 mod fully_assoc;
+mod invalidate;
 mod range_tlb;
 mod set_assoc;
 mod stats;
@@ -56,6 +62,24 @@ mod stats;
 pub use coalesced::{CoalescedTlb, COLT_GROUP};
 pub use entry::{Hit, PageTranslation};
 pub use fully_assoc::FullyAssocTlb;
+pub use invalidate::{Invalidate, TranslationCache};
 pub use range_tlb::RangeTlb;
 pub use set_assoc::{SetAssocTlb, ASID_BITS, ASID_GLOBAL, ASID_MASK, MAX_WAYS};
 pub use stats::TlbStats;
+
+/// Forwards [`TranslationCache`] to each structure's inherent methods.
+macro_rules! translation_cache {
+    ($($tlb:ty),*) => {$(
+        impl TranslationCache for $tlb {
+            fn invalidate(&mut self, scope: Invalidate) -> u64 {
+                <$tlb>::invalidate(self, scope)
+            }
+
+            fn set_current_asid(&mut self, asid: u16) {
+                <$tlb>::set_current_asid(self, asid);
+            }
+        }
+    )*};
+}
+
+translation_cache!(SetAssocTlb, FullyAssocTlb, RangeTlb, CoalescedTlb);

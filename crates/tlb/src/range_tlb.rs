@@ -4,6 +4,7 @@ use core::fmt;
 
 use eeat_types::{PhysAddr, RangeTranslation, VirtAddr, VirtRange};
 
+use crate::invalidate::Invalidate;
 use crate::set_assoc::{asid_overlaps, asid_visible, ASID_GLOBAL, ASID_MASK, MAX_WAYS};
 use crate::stats::TlbStats;
 
@@ -270,56 +271,25 @@ impl RangeTlb {
         self.recency[slot] = 0;
     }
 
-    /// Invalidates every entry whose range contains `va` (the shootdown of a
-    /// single page unmaps any range covering it), regardless of ASID.
-    /// Returns the number of entries removed.
-    pub fn invalidate(&mut self, va: VirtAddr) -> u64 {
-        self.invalidate_matching(|rt, _| rt.virt().contains(va))
-    }
-
-    /// Invalidates every entry whose range overlaps `range`, regardless of
-    /// ASID. Returns the number of entries removed.
-    pub fn invalidate_range(&mut self, range: VirtRange) -> u64 {
-        self.invalidate_matching(|rt, _| rt.virt().overlaps(range))
-    }
-
-    /// Invalidates every non-global entry of `asid` whose range contains
-    /// `va` (the targeted shootdown an IPI delivers). Returns the number
-    /// removed.
-    pub fn invalidate_asid(&mut self, asid: u16, va: VirtAddr) -> u64 {
-        self.invalidate_matching(|rt, lane| {
-            lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid && rt.virt().contains(va)
-        })
-    }
-
-    /// Invalidates every non-global entry of `asid` whose range overlaps
-    /// `range`. Returns the number removed.
-    pub fn invalidate_range_asid(&mut self, asid: u16, range: VirtRange) -> u64 {
-        self.invalidate_matching(|rt, lane| {
-            lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid && rt.virt().overlaps(range)
-        })
-    }
-
-    /// Invalidates every non-global entry of `asid`; globals survive.
-    /// Returns the number removed.
-    pub fn flush_asid(&mut self, asid: u16) -> u64 {
-        self.invalidate_matching(|_, lane| lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid)
-    }
-
-    /// Removes every entry matching `pred` (which sees the translation and
-    /// its ASID lane), demoting each vacated slot to the LRU end so the
-    /// ranks stay a permutation.
-    fn invalidate_matching(&mut self, mut pred: impl FnMut(&RangeTranslation, u16) -> bool) -> u64 {
+    /// Removes the entries `scope` selects and returns how many went: a page
+    /// scope takes every range containing the address (unmapping one page
+    /// breaks any range covering it), a range scope every range overlapping
+    /// it. Each vacated slot drops to the LRU end so the ranks stay a
+    /// permutation; [`Invalidate::All`] resets them.
+    pub fn invalidate(&mut self, scope: Invalidate) -> u64 {
+        if matches!(scope, Invalidate::All) {
+            return self.flush();
+        }
         let mut removed = 0u64;
         for slot in 0..self.entries.len() {
             let Some(rt) = self.entries[slot] else {
                 continue;
             };
-            if !pred(&rt, self.asids[slot]) {
-                continue;
+            let virt = rt.virt();
+            if scope.removes(self.asids[slot], virt.start().raw(), virt.len()) {
+                self.clear_slot(slot);
+                removed += 1;
             }
-            self.clear_slot(slot);
-            removed += 1;
         }
         if removed > 0 {
             self.rebuild_scan();
@@ -328,16 +298,17 @@ impl RangeTlb {
         removed
     }
 
-    /// Invalidates every entry.
-    pub fn flush(&mut self) {
-        let valid = self.entries.iter().filter(|e| e.is_some()).count() as u64;
-        self.stats.record_invalidations(valid);
+    /// Empties every slot, globals included, and returns the count.
+    fn flush(&mut self) -> u64 {
+        let removed = self.occupancy() as u64;
+        self.stats.record_invalidations(removed);
         for (i, e) in self.entries.iter_mut().enumerate() {
             *e = None;
             self.recency[i] = i as u8;
             self.asids[i] = 0;
         }
         self.scan.clear();
+        removed
     }
 
     /// Number of valid entries currently held.
@@ -467,7 +438,7 @@ mod tests {
         let mut tlb = RangeTlb::new("t", 4);
         tlb.insert(rt(0, 1, 100));
         tlb.insert(rt(10, 1, 200));
-        tlb.flush();
+        assert_eq!(tlb.invalidate(Invalidate::All), 2);
         assert_eq!(tlb.occupancy(), 0);
         assert_eq!(tlb.stats().invalidations(), 2);
         assert!(tlb.lookup(VirtAddr::new(0)).is_none());
@@ -478,7 +449,7 @@ mod tests {
         let mut tlb = RangeTlb::new("t", 4);
         tlb.insert(rt(0, 16, 100));
         tlb.insert(rt(32, 16, 200));
-        assert_eq!(tlb.invalidate(VirtAddr::new(40 << 20)), 1);
+        assert_eq!(tlb.invalidate(Invalidate::page(VirtAddr::new(40 << 20))), 1);
         assert!(tlb.probe(VirtAddr::new(0)).is_some());
         assert!(tlb.probe(VirtAddr::new(40 << 20)).is_none());
         assert_eq!(tlb.stats().invalidations(), 1);
@@ -490,14 +461,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_range_takes_overlaps() {
+    fn range_scope_takes_overlaps() {
         let mut tlb = RangeTlb::new("t", 4);
         tlb.insert(rt(0, 16, 100));
         tlb.insert(rt(32, 16, 200));
         tlb.insert(rt(64, 16, 300));
         // [40 MB, 72 MB) overlaps the second and third ranges.
         let shot = VirtRange::new(VirtAddr::new(40 << 20), 32 << 20);
-        assert_eq!(tlb.invalidate_range(shot), 2);
+        assert_eq!(tlb.invalidate(Invalidate::range(shot)), 2);
         assert!(tlb.probe(VirtAddr::new(0)).is_some());
         assert_eq!(tlb.occupancy(), 1);
     }
@@ -571,14 +542,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_asid_spares_globals_and_other_asids() {
+    fn asid_scope_spares_globals_and_other_asids() {
         let mut tlb = RangeTlb::new("t", 4);
         tlb.set_current_asid(1);
         tlb.insert(rt(0, 16, 100));
         tlb.insert_global(rt(64, 16, 700));
         tlb.set_current_asid(2);
         tlb.insert(rt(32, 16, 200));
-        assert_eq!(tlb.flush_asid(1), 1);
+        assert_eq!(tlb.invalidate(Invalidate::Asid(1)), 1);
         assert!(tlb.probe(VirtAddr::new(70 << 20)).is_some(), "global stays");
         assert!(tlb.probe(VirtAddr::new(40 << 20)).is_some(), "ASID 2 stays");
         tlb.set_current_asid(1);
@@ -587,13 +558,16 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_asid_is_targeted() {
+    fn asid_page_scope_is_targeted() {
         let mut tlb = RangeTlb::new("t", 4);
         tlb.set_current_asid(1);
         tlb.insert(rt(0, 16, 100));
         tlb.set_current_asid(2);
         tlb.insert(rt(0, 16, 900));
-        assert_eq!(tlb.invalidate_asid(1, VirtAddr::new(8 << 20)), 1);
+        assert_eq!(
+            tlb.invalidate(Invalidate::page_of(1, VirtAddr::new(8 << 20))),
+            1
+        );
         assert!(
             tlb.probe(VirtAddr::new(8 << 20)).is_some(),
             "ASID 2 copy stays"
@@ -611,11 +585,11 @@ mod tests {
         tlb.assert_invariants();
         // Lookup in the middle range works through the sorted lane.
         assert!(tlb.lookup(VirtAddr::new(40 << 20)).is_some());
-        tlb.invalidate(VirtAddr::new(40 << 20));
+        tlb.invalidate(Invalidate::page(VirtAddr::new(40 << 20)));
         tlb.assert_invariants();
         assert!(tlb.lookup(VirtAddr::new(40 << 20)).is_none());
         assert!(tlb.lookup(VirtAddr::new(8 << 20)).is_some());
-        tlb.flush();
+        tlb.invalidate(Invalidate::All);
         tlb.assert_invariants();
         assert!(tlb.lookup(VirtAddr::new(8 << 20)).is_none());
     }

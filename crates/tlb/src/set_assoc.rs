@@ -2,9 +2,10 @@
 
 use core::fmt;
 
-use eeat_types::{PageSize, Pfn, VirtAddr, VirtRange, Vpn};
+use eeat_types::{PageSize, Pfn, VirtAddr, Vpn};
 
 use crate::entry::{Hit, PageTranslation};
+use crate::invalidate::Invalidate;
 use crate::stats::TlbStats;
 
 /// Maximum physical associativity of a [`SetAssocTlb`] — and, since a
@@ -51,17 +52,6 @@ pub(crate) fn asid_visible(lane: u16, current: u16) -> bool {
 #[inline]
 pub(crate) fn asid_overlaps(a: u16, b: u16) -> bool {
     a & ASID_GLOBAL != 0 || b & ASID_GLOBAL != 0 || a & ASID_MASK == b & ASID_MASK
-}
-
-/// `true` when the page `[base, base + bytes)` overlaps `range`, computed
-/// with inclusive last-address arithmetic so the topmost page of the
-/// address space (where `base + bytes` wraps to zero) is handled instead of
-/// overflowing.
-#[inline]
-pub(crate) fn page_overlaps(base: u64, bytes: u64, range: VirtRange) -> bool {
-    debug_assert!(bytes > 0, "pages are never empty");
-    let page_last = base.saturating_add(bytes - 1);
-    !range.is_empty() && base < range.end().raw() && page_last >= range.start().raw()
 }
 
 /// The 2-bit size-class code fused into tags — also the index into the
@@ -676,55 +666,17 @@ impl SetAssocTlb {
         self.valid = valid;
     }
 
-    /// Invalidates every entry covering `va`, regardless of page size or
-    /// ASID — the per-page TLB shootdown (`invlpg`). Entries of any size
-    /// whose page contains `va` are removed; everything else survives.
-    /// Returns the number of entries removed (counted as invalidations in
-    /// the stats).
-    pub fn invalidate(&mut self, va: VirtAddr) -> u64 {
-        self.invalidate_matching(|e, _| e.covers(va))
-    }
-
-    /// Invalidates every entry whose page overlaps `range` (the multi-page
-    /// shootdown of e.g. an `munmap`), regardless of ASID. Returns the
-    /// number of entries removed.
-    pub fn invalidate_range(&mut self, range: VirtRange) -> u64 {
-        self.invalidate_matching(|e, _| {
-            page_overlaps(e.vpn().base_addr().raw(), e.size().bytes(), range)
-        })
-    }
-
-    /// The ASID-targeted shootdown a cross-core invalidation IPI delivers:
-    /// removes entries covering `va` that belong to `asid`. Global entries
-    /// survive — they are not owned by any one address space. Returns the
-    /// number of entries removed.
-    pub fn invalidate_asid(&mut self, asid: u16, va: VirtAddr) -> u64 {
-        self.invalidate_matching(|e, lane| {
-            lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid && e.covers(va)
-        })
-    }
-
-    /// The ASID-targeted multi-page shootdown: removes `asid`'s non-global
-    /// entries whose page overlaps `range`. Returns the number removed.
-    pub fn invalidate_range_asid(&mut self, asid: u16, range: VirtRange) -> u64 {
-        self.invalidate_matching(|e, lane| {
-            lane & ASID_GLOBAL == 0
-                && lane & ASID_MASK == asid
-                && page_overlaps(e.vpn().base_addr().raw(), e.size().bytes(), range)
-        })
-    }
-
-    /// Removes every non-global entry of `asid` (ASID recycling: the ASID
-    /// space wrapped and the identifier is being handed to a new address
-    /// space). Global entries survive. Returns the number removed.
-    pub fn flush_asid(&mut self, asid: u16) -> u64 {
-        self.invalidate_matching(|_, lane| lane & ASID_GLOBAL == 0 && lane & ASID_MASK == asid)
-    }
-
-    /// Removes every active entry matching `pred` (which sees the entry and
-    /// its ASID lane word), keeping each set's LRU ranks a permutation: the
-    /// vacated slot is demoted to the LRU end and the survivors close ranks.
-    fn invalidate_matching(&mut self, mut pred: impl FnMut(&PageTranslation, u16) -> bool) -> u64 {
+    /// Removes the entries `scope` selects, of any page size, and returns
+    /// how many went (counted as invalidations in the stats). A page scope
+    /// takes every entry whose page contains the address, a range scope
+    /// every entry whose page overlaps the range. Each vacated slot drops to
+    /// the LRU end of its set while the survivors close ranks, so the ranks
+    /// stay a permutation; [`Invalidate::All`] resets every set's ranks,
+    /// active ways staying as configured.
+    pub fn invalidate(&mut self, scope: Invalidate) -> u64 {
+        if matches!(scope, Invalidate::All) {
+            return self.flush();
+        }
         let mut removed = 0u64;
         for set in 0..self.sets {
             let base = set * self.ways;
@@ -733,21 +685,21 @@ impl SetAssocTlb {
                 let Some(entry) = self.slot_translation(slot) else {
                     continue;
                 };
-                if !pred(&entry, self.asids[slot]) {
-                    continue;
+                let start = entry.vpn().base_addr().raw();
+                if scope.removes(self.asids[slot], start, entry.size().bytes()) {
+                    self.clear_slot(base, slot);
+                    removed += 1;
                 }
-                self.clear_slot(base, slot);
-                removed += 1;
             }
         }
         self.stats.record_invalidations(removed);
         removed
     }
 
-    /// Invalidates every entry — including globals — with active ways
-    /// staying as configured (a full flush, e.g. a CR4 toggle).
-    pub fn flush(&mut self) {
-        self.stats.record_invalidations(u64::from(self.valid));
+    /// Empties every slot, globals included, and returns the count.
+    fn flush(&mut self) -> u64 {
+        let removed = u64::from(self.valid);
+        self.stats.record_invalidations(removed);
         for (i, tag) in self.tags.iter_mut().enumerate() {
             *tag = INVALID_TAG;
             self.recency[i] = (i % self.ways) as u8;
@@ -755,6 +707,7 @@ impl SetAssocTlb {
         }
         self.size_occupancy = [0; 3];
         self.valid = 0;
+        removed
     }
 
     /// Number of valid entries currently held (O(1): maintained as the
@@ -840,7 +793,7 @@ impl fmt::Display for SetAssocTlb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eeat_types::{Pfn, Vpn};
+    use eeat_types::{Pfn, VirtRange, Vpn};
 
     fn t4k(vpn: u64) -> PageTranslation {
         PageTranslation::new(Vpn::new(vpn), Pfn::new(vpn + 1000), PageSize::Size4K)
@@ -971,7 +924,7 @@ mod tests {
         for i in 0..4 {
             tlb.insert(t4k(16 * i));
         }
-        assert_eq!(tlb.invalidate(va4k(16)), 1);
+        assert_eq!(tlb.invalidate(Invalidate::page(va4k(16))), 1);
         assert!(tlb.probe(va4k(16), PageSize::Size4K).is_none());
         for vpn in [0, 32, 48] {
             assert!(tlb.probe(va4k(vpn), PageSize::Size4K).is_some());
@@ -995,7 +948,10 @@ mod tests {
         tlb.insert(huge);
         // An address in the middle of the 2 MiB page takes out the huge entry
         // but not the unrelated 4 KiB one.
-        assert_eq!(tlb.invalidate(VirtAddr::new(512 * 4096 + 12345)), 1);
+        assert_eq!(
+            tlb.invalidate(Invalidate::page(VirtAddr::new(512 * 4096 + 12345))),
+            1
+        );
         assert!(tlb
             .probe(VirtAddr::new(512 * 4096), PageSize::Size2M)
             .is_none());
@@ -1004,14 +960,14 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_range_takes_overlapping_pages() {
+    fn range_scope_takes_overlapping_pages() {
         let mut tlb = SetAssocTlb::new("t", 64, 4, PageSize::Size4K);
         for vpn in [3u64, 4, 5, 40] {
             tlb.insert(t4k(vpn));
         }
         // A range covering pages 4..6 removes vpn 4 and 5 only.
         let range = VirtRange::new(va4k(4), 2 * 4096);
-        assert_eq!(tlb.invalidate_range(range), 2);
+        assert_eq!(tlb.invalidate(Invalidate::range(range)), 2);
         assert!(tlb.probe(va4k(3), PageSize::Size4K).is_some());
         assert!(tlb.probe(va4k(4), PageSize::Size4K).is_none());
         assert!(tlb.probe(va4k(5), PageSize::Size4K).is_none());
@@ -1020,7 +976,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_range_handles_topmost_page() {
+    fn range_scope_handles_topmost_page() {
         // The last 4 KiB page of the address space: `base + 4096` wraps to
         // zero, which the inclusive overlap arithmetic must tolerate.
         let mut tlb = SetAssocTlb::new("t", 64, 4, PageSize::Size4K);
@@ -1029,14 +985,14 @@ mod tests {
         tlb.insert(t4k(3));
         // [u64::MAX - 8191, u64::MAX): covers the top page, not vpn 3.
         let shot = VirtRange::new(VirtAddr::new(u64::MAX - 8191), 8191);
-        assert_eq!(tlb.invalidate_range(shot), 1);
+        assert_eq!(tlb.invalidate(Invalidate::range(shot)), 1);
         assert!(tlb.probe(va4k(top), PageSize::Size4K).is_none());
         assert!(tlb.probe(va4k(3), PageSize::Size4K).is_some());
         tlb.assert_invariants();
     }
 
     #[test]
-    fn invalidate_range_asid_handles_topmost_page() {
+    fn asid_range_scope_handles_topmost_page() {
         let mut tlb = SetAssocTlb::new("t", 64, 4, PageSize::Size4K);
         let top = (1u64 << 52) - 1;
         tlb.set_current_asid(2);
@@ -1045,7 +1001,7 @@ mod tests {
         tlb.insert(t4k(top));
         let shot = VirtRange::new(VirtAddr::new(u64::MAX - 8191), 8191);
         // Only ASID 2's copy of the top page goes.
-        assert_eq!(tlb.invalidate_range_asid(2, shot), 1);
+        assert_eq!(tlb.invalidate(Invalidate::range_of(2, shot)), 1);
         assert!(tlb.probe(va4k(top), PageSize::Size4K).is_some());
         tlb.set_current_asid(2);
         assert!(tlb.probe(va4k(top), PageSize::Size4K).is_none());
@@ -1057,7 +1013,7 @@ mod tests {
         let mut tlb = SetAssocTlb::new("t", 64, 4, PageSize::Size4K);
         tlb.insert(t4k(1));
         let stats_before = *tlb.stats();
-        assert_eq!(tlb.invalidate(va4k(99)), 0);
+        assert_eq!(tlb.invalidate(Invalidate::page(va4k(99))), 0);
         assert_eq!(tlb.stats().invalidations(), stats_before.invalidations());
         assert_eq!(tlb.occupancy(), 1);
         tlb.assert_invariants();
@@ -1069,7 +1025,7 @@ mod tests {
         for i in 0..10 {
             tlb.insert(t4k(i));
         }
-        tlb.flush();
+        assert_eq!(tlb.invalidate(Invalidate::All), 10);
         assert_eq!(tlb.occupancy(), 0);
         assert_eq!(tlb.stats().invalidations(), 10);
         tlb.assert_invariants();
@@ -1164,9 +1120,9 @@ mod tests {
             "global entry survives switch"
         );
         // A global shootdown removes it; an ASID-targeted one does not.
-        assert_eq!(tlb.invalidate_asid(1, va4k(9)), 0);
+        assert_eq!(tlb.invalidate(Invalidate::page_of(1, va4k(9))), 0);
         assert!(tlb.lookup(va4k(9)).is_some());
-        assert_eq!(tlb.invalidate(va4k(9)), 1);
+        assert_eq!(tlb.invalidate(Invalidate::page(va4k(9))), 1);
         assert!(tlb.lookup(va4k(9)).is_none());
         tlb.assert_invariants();
     }
@@ -1207,18 +1163,18 @@ mod tests {
             PageSize::Size4K,
         ));
         // The ASID-targeted shootdown removes exactly one copy.
-        assert_eq!(tlb.invalidate_asid(1, va4k(5)), 1);
+        assert_eq!(tlb.invalidate(Invalidate::page_of(1, va4k(5))), 1);
         assert!(tlb.lookup(va4k(5)).is_some(), "ASID 2's copy survives");
         tlb.set_current_asid(1);
         assert!(tlb.lookup(va4k(5)).is_none());
         // The ASID-blind shootdown takes every remaining copy.
-        assert_eq!(tlb.invalidate(va4k(5)), 1);
+        assert_eq!(tlb.invalidate(Invalidate::page(va4k(5))), 1);
         assert_eq!(tlb.occupancy(), 0);
         tlb.assert_invariants();
     }
 
     #[test]
-    fn flush_asid_spares_globals_and_other_asids() {
+    fn asid_scope_spares_globals_and_other_asids() {
         let mut tlb = SetAssocTlb::new("t", 64, 4, PageSize::Size4K);
         tlb.set_current_asid(1);
         tlb.insert(t4k(1));
@@ -1226,7 +1182,7 @@ mod tests {
         tlb.insert_global(t4k(3));
         tlb.set_current_asid(2);
         tlb.insert(t4k(4));
-        assert_eq!(tlb.flush_asid(1), 2);
+        assert_eq!(tlb.invalidate(Invalidate::Asid(1)), 2);
         assert!(tlb.lookup(va4k(3)).is_some(), "global survives");
         assert!(tlb.lookup(va4k(4)).is_some(), "other ASID survives");
         tlb.set_current_asid(1);
@@ -1236,7 +1192,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_range_asid_is_targeted() {
+    fn asid_range_scope_is_targeted() {
         let mut tlb = SetAssocTlb::new("t", 64, 4, PageSize::Size4K);
         tlb.set_current_asid(1);
         for vpn in [3u64, 4, 5] {
@@ -1245,7 +1201,7 @@ mod tests {
         tlb.set_current_asid(2);
         tlb.insert(t4k(4));
         let range = VirtRange::new(va4k(4), 2 * 4096);
-        assert_eq!(tlb.invalidate_range_asid(1, range), 2);
+        assert_eq!(tlb.invalidate(Invalidate::range_of(1, range)), 2);
         assert!(tlb.lookup(va4k(4)).is_some(), "ASID 2's page 4 survives");
         tlb.set_current_asid(1);
         assert!(tlb.lookup(va4k(3)).is_some());
@@ -1262,7 +1218,7 @@ mod tests {
         assert_eq!(tlb.current_asid(), 0);
         tlb.insert(t4k(5));
         assert!(tlb.lookup(va4k(5)).is_some());
-        assert_eq!(tlb.flush_asid(0), 1);
+        assert_eq!(tlb.invalidate(Invalidate::Asid(0)), 1);
         assert_eq!(tlb.occupancy(), 0);
     }
 

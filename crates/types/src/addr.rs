@@ -7,8 +7,10 @@ use crate::page::{PageSize, Pfn, Vpn};
 
 /// A 64-bit virtual address.
 ///
-/// The simulator treats the full 64-bit value as canonical; real x86-64
-/// hardware would sign-extend bit 47, but canonicality plays no role in TLB
+/// The type holds any 64-bit value, but the simulated 4-level page table
+/// maps only bits 47:0, so the addresses a simulation maps and touches lie
+/// below 2^48 (trace replay rejects any other). Real x86-64 hardware also
+/// requires bits 63:48 to copy bit 47; canonicality plays no role in TLB
 /// energy or miss behaviour, so the type does not enforce it.
 ///
 /// # Examples

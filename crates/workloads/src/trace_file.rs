@@ -3,8 +3,8 @@
 //! The paper drives its simulator from Pin traces. This module provides the
 //! equivalent adoption path for this reproduction: a plain-text trace format
 //! any instrumentation tool (Pin, DynamoRIO, `valgrind --tool=lackey`, an
-//! emulator) can emit, plus a reader that replays it as a
-//! [`MemAccess`](eeat_types::MemAccess) stream.
+//! emulator) can emit, plus a reader that replays it as a [`MemAccess`]
+//! stream.
 //!
 //! # Format
 //!
@@ -18,11 +18,16 @@
 //! ```
 //!
 //! `L`/`S` mark loads and stores; the gap is the number of instructions
-//! executed since the previous record (≥ 1).
+//! executed since the previous record (≥ 1). Addresses must lie below
+//! 2^48: the simulated 4-level page table maps virtual-address bits 47:0.
 
 use std::io::{self, BufRead, Write};
 
 use eeat_types::{AccessKind, MemAccess, VirtAddr};
+
+/// One past the highest address a record may name: the 4-level page table
+/// indexes virtual-address bits 47:12.
+const VA_LIMIT: u64 = 1 << 48;
 
 /// Writes `accesses` to `out` in the text trace format.
 ///
@@ -142,6 +147,11 @@ fn parse_record(line: &str) -> Result<MemAccess, String> {
     let addr = fields.next().ok_or("missing address")?;
     let addr = u64::from_str_radix(addr.trim_start_matches("0x"), 16)
         .map_err(|_| format!("bad hex address {addr:?}"))?;
+    if addr >= VA_LIMIT {
+        return Err(format!(
+            "address {addr:#x} is not below 2^48, the reach of the 4-level page table"
+        ));
+    }
     let gap = match fields.next() {
         Some(g) => g.parse::<u32>().map_err(|_| format!("bad gap {g:?}"))?,
         None => 1,
@@ -216,6 +226,7 @@ mod tests {
             ("L 1000 0\n", "at least 1"),
             ("L 1000 1 extra\n", "trailing"),
             ("L\n", "missing address"),
+            ("L 1000000000000 1\n", "not below 2^48"),
         ] {
             let err = read_trace(text.as_bytes()).unwrap_err();
             let msg = err.to_string();

@@ -1,6 +1,6 @@
 //! The `eeat` command-line front end, driven as a subprocess: help output,
-//! budget validation, the compare header, and a reader that closes the
-//! pipe early.
+//! budget validation, trace validation, the compare header, and a reader
+//! that closes the pipe early.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -45,6 +45,19 @@ fn zero_instruction_budget_is_rejected() {
         assert!(stderr(&output).contains("--instructions"), "{args:?}");
         assert_eq!(stdout(&output), "", "{args:?} printed a report");
     }
+}
+
+#[test]
+fn trace_address_beyond_the_page_table_is_rejected() {
+    // The two addresses differ only above bit 47, which the 4-level page
+    // table cannot tell apart.
+    let path = std::env::temp_dir().join(format!("eeat-cli-{}.trace", std::process::id()));
+    std::fs::write(&path, "L 1000 1\nL 1000000001000 1\n").expect("trace written");
+    let output = eeat(&["replay", "--trace", path.to_str().unwrap(), "-c", "4kb"]);
+    std::fs::remove_file(&path).expect("trace removed");
+    assert_eq!(output.status.code(), Some(1), "{}", stderr(&output));
+    assert!(stderr(&output).contains("line 2"), "{}", stderr(&output));
+    assert!(!stderr(&output).contains("panicked"));
 }
 
 #[test]
